@@ -62,7 +62,6 @@ from .globular import (
     globular_decomposition,
 )
 from .document import (
-    Document,
     FormatError,
     circle,
     cylinder,
@@ -88,6 +87,6 @@ __all__ = [
     "homology", "smith_normal_form",
     "GlobularCell", "GlobularDecomposition", "decomposition_report",
     "globular_decomposition",
-    "Document", "FormatError", "circle", "cylinder", "generate", "interval",
+    "FormatError", "circle", "cylinder", "generate", "interval",
     "parse", "serialize", "torus",
 ]

@@ -138,6 +138,9 @@ class Violation:
         return msg
 
 
+_NO_CELLS = frozenset()
+
+
 class PrecubicalSet:
     """A finitely presented precubical set.
 
@@ -152,31 +155,36 @@ class PrecubicalSet:
 
     def __init__(self, cells, faces=None):
         normalized: dict[int, tuple[str, ...]] = {}
+        members: dict[int, frozenset] = {}
         for dim, labels in dict(cells).items():
-            if not isinstance(dim, int) or dim < 0:
+            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
                 raise ValueError(f"cell dimension must be a non-negative int: {dim!r}")
             labels = list(labels)
             for lab in labels:
                 if not isinstance(lab, str):
                     raise ValueError(f"cell label must be a string: {lab!r}")
-            if len(set(labels)) != len(labels):
+            label_set = frozenset(labels)
+            if len(label_set) != len(labels):
                 dupes = sorted({l for l in labels if labels.count(l) > 1})
                 raise ValueError(f"duplicate labels in dimension {dim}: {dupes}")
             if labels:
                 normalized[dim] = tuple(sorted(labels))
+                members[dim] = label_set
         self._cells = normalized
+        # one hashed copy of each dimension's labels, for membership tests
+        self._members = members
         self._top_dim = max(normalized, default=-1)
 
         face_map: dict[tuple[int, int, int, str], str] = {}
         for key, value in dict(faces or {}).items():
             dim, i, alpha, label = key
-            if not isinstance(dim, int) or dim < 1:
+            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
                 raise ValueError(f"face dimension must be an int >= 1: {dim!r}")
-            if not isinstance(i, int) or not 1 <= i <= dim:
+            if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= dim:
                 raise ValueError(f"face index {i!r} out of range 1..{dim}")
-            if alpha not in (0, 1):
+            if alpha not in (0, 1) or isinstance(alpha, bool):
                 raise ValueError(f"face sign must be 0 or 1: {alpha!r}")
-            if label not in self._cells.get(dim, ()):
+            if label not in members.get(dim, _NO_CELLS):
                 raise ValueError(f"face keyed on undeclared cell ({dim}, {label!r})")
             if not isinstance(value, str):
                 raise ValueError(f"face value must be a label string: {value!r}")
@@ -206,7 +214,7 @@ class PrecubicalSet:
                 yield CellId(dim, label)
 
     def has_cell(self, dim: int, label: str) -> bool:
-        return label in self._cells.get(dim, ())
+        return label in self._members.get(dim, _NO_CELLS)
 
     def face_label(self, dim: int, label: str, i: int, alpha: int) -> str | None:
         """Label of d[i, alpha] of the cell, or None if the entry is absent."""
@@ -245,41 +253,44 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     whose ingredient faces are missing or dangling are skipped, since they
     are already reported.
     """
+    faces = K._faces
     report: list[Violation] = []
-    for dim in sorted(d for d in range(1, K.top_dim + 1)):
+    # rows[dim][label][2*(i-1) + alpha] is d[i, alpha] of the cell, or None
+    # when that entry is missing or dangling; each entry is looked up once
+    rows: dict[int, dict[str, list]] = {}
+    for dim in range(1, K.top_dim + 1):
+        below = K._members.get(dim - 1, _NO_CELLS)
+        table = rows[dim] = {}
         for label in K.cells(dim):
+            row = table[label] = []
             for i in range(1, dim + 1):
                 for alpha in (0, 1):
-                    value = K.face_label(dim, label, i, alpha)
+                    value = faces.get((dim, i, alpha, label))
                     if value is None:
                         report.append(Violation("missing-face", dim, label, i=i, alpha=alpha))
-                    elif not K.has_cell(dim - 1, value):
+                    elif value not in below:
                         report.append(
                             Violation(
                                 "dangling-face", dim, label, i=i, alpha=alpha,
                                 detail=f"points at undeclared cell {value!r}",
                             )
                         )
-
-    def chase(dim, label, i, alpha):
-        # one face step, None if the entry is absent or dangling
-        value = K.face_label(dim, label, i, alpha)
-        if value is None or not K.has_cell(dim - 1, value):
-            return None
-        return value
+                        value = None
+                    row.append(value)
 
     for dim in range(2, K.top_dim + 1):
-        for label in K.cells(dim):
+        lower = rows[dim - 1]
+        for label, row in rows[dim].items():
             for j in range(2, dim + 1):
                 for i in range(1, j):
                     for alpha in (0, 1):
+                        ia = row[2 * i - 2 + alpha]
                         for beta in (0, 1):
-                            jb = chase(dim, label, j, beta)
-                            ia = chase(dim, label, i, alpha)
+                            jb = row[2 * j - 2 + beta]
                             if jb is None or ia is None:
                                 continue
-                            left = chase(dim - 1, jb, i, alpha)
-                            right = chase(dim - 1, ia, j - 1, beta)
+                            left = lower[jb][2 * i - 2 + alpha]
+                            right = lower[ia][2 * j - 4 + beta]
                             if left is None or right is None:
                                 continue
                             if left != right:

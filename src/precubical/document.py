@@ -9,16 +9,26 @@ A document is a JSON object
       "faces": [{"dim": n, "i": i, "alpha": a, "cell": c, "value": v}, ...]
     }
 
-with labels sorted within each dimension and face records sorted by
-(dim, cell, i, alpha).  Serialization always emits this sorted form with
-sorted keys, two-space indentation and a trailing newline, so
-serialize(parse(serialize(K))) is byte-identical to serialize(K).
+Every dimension key is the decimal form of a non-negative int ("0", not
+"00" or " 0") and top_dim is an integer.  serialize writes one fixed
+layout, the one json.dumps(tree, indent=2, sort_keys=True) gives the tree
+followed by a newline:
+
+- two-space indentation, "," at line ends and ": " after keys, and
+  ASCII-only strings with json's escapes (json.dumps of each label);
+- top-level keys in the order cells, faces, format_version, top_dim;
+- dimension keys sorted as strings (so "10" comes before "2"), only
+  dimensions that have cells, each label on its own line in sorted order;
+- face records sorted by (dim, cell, i, alpha), each record's keys in the
+  order alpha, cell, dim, i, value;
+- an empty cells object or faces array written as {} or [].
+
+So serialize(parse(serialize(K))) is byte-identical to serialize(K).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .core import PrecubicalSet, standard_cube, boundary_cube, tensor, validate
 
@@ -33,57 +43,66 @@ class FormatError(ValueError):
         self.violations = tuple(violations)
 
 
-@dataclass(frozen=True)
-class Document:
-    """The document tree in canonical order, convertible in both directions."""
-
-    format_version: str
-    top_dim: int
-    cells: dict
-    faces: tuple
-
-    @classmethod
-    def from_precubical(cls, K: PrecubicalSet) -> "Document":
-        cells = {d: K.cells(d) for d in range(K.top_dim + 1) if K.cells(d)}
-        faces = tuple(
-            sorted(
-                (dim, label, i, alpha, value)
-                for (dim, i, alpha, label), value in K.face_map.items()
-            )
-        )
-        return cls(FORMAT_VERSION, K.top_dim, cells, faces)
-
-    def to_precubical(self) -> PrecubicalSet:
-        faces = {
-            (dim, i, alpha, cell): value
-            for dim, cell, i, alpha, value in self.faces
-        }
-        try:
-            return PrecubicalSet(self.cells, faces)
-        except ValueError as exc:
-            raise FormatError(f"malformed document: {exc}") from exc
-
-    def to_json(self) -> str:
-        tree = {
-            "format_version": self.format_version,
-            "top_dim": self.top_dim,
-            "cells": {str(d): list(labels) for d, labels in sorted(self.cells.items())},
-            "faces": [
-                {"dim": dim, "i": i, "alpha": alpha, "cell": cell, "value": value}
-                for dim, cell, i, alpha, value in self.faces
-            ],
-        }
-        return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+_FACE_RECORD = (
+    "    {\n"
+    '      "alpha": %d,\n'
+    '      "cell": %s,\n'
+    '      "dim": %d,\n'
+    '      "i": %d,\n'
+    '      "value": %s\n'
+    "    }"
+)
 
 
 def serialize(K: PrecubicalSet) -> str:
     """Canonical document text for K (UTF-8 friendly, newline-terminated)."""
-    return Document.from_precubical(K).to_json()
+    quote = json.dumps
+    dims = [d for d in range(K.top_dim + 1) if K.cells(d)]
+    quoted = {label: quote(label) for d in dims for label in K.cells(d)}
+    cells = [
+        '    "%d": [\n%s\n    ]'
+        % (d, ",\n".join("      " + quoted[label] for label in K.cells(d)))
+        for d in sorted(dims, key=str)
+    ]
+    # walking the sorted labels and (i, alpha) in order visits the face
+    # entries in canonical order, since every entry sits on a declared cell
+    table = K.face_map
+    records = []
+    for d in dims:
+        for label in K.cells(d):
+            cell = quoted[label]
+            for i in range(1, d + 1):
+                for alpha in (0, 1):
+                    value = table.get((d, i, alpha, label))
+                    if value is not None:
+                        text = quoted.get(value) or quote(value)
+                        records.append(_FACE_RECORD % (alpha, cell, d, i, text))
+    return '{\n  "cells": %s,\n  "faces": %s,\n  "format_version": %s,\n  "top_dim": %d\n}\n' % (
+        "{\n" + ",\n".join(cells) + "\n  }" if cells else "{}",
+        "[\n" + ",\n".join(records) + "\n  ]" if records else "[]",
+        quote(FORMAT_VERSION),
+        K.top_dim,
+    )
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise FormatError(message)
+_FACE_KEYS = frozenset({"dim", "i", "alpha", "cell", "value"})
+
+
+def _check_record(record):
+    """Raise the FormatError for the first defect of a face record that
+    failed the combined check in parse, testing in the documented order."""
+    if not isinstance(record, dict):
+        raise FormatError(f"face record must be an object: {record!r}")
+    if record.keys() != _FACE_KEYS:
+        raise FormatError(
+            f"face record must have exactly the keys dim, i, alpha, cell, value: {record!r}"
+        )
+    for field in ("dim", "i", "alpha"):
+        if not isinstance(record[field], int) or isinstance(record[field], bool):
+            raise FormatError(f"face field {field!r} must be an integer: {record!r}")
+    for field in ("cell", "value"):
+        if not isinstance(record[field], str):
+            raise FormatError(f"face field {field!r} must be a string: {record!r}")
 
 
 def parse(data, check: bool = True) -> PrecubicalSet:
@@ -100,16 +119,21 @@ def parse(data, check: bool = True) -> PrecubicalSet:
     except json.JSONDecodeError as exc:
         raise FormatError(f"syntax error at position {exc.pos}: {exc.msg}") from exc
 
-    _require(isinstance(tree, dict), "document must be a JSON object")
+    # each check builds its message only when it fails
+    if not isinstance(tree, dict):
+        raise FormatError("document must be a JSON object")
     version = tree.get("format_version")
-    _require(
-        version == FORMAT_VERSION,
-        f"unknown format version: {version!r} (expected {FORMAT_VERSION!r})",
-    )
+    if version != FORMAT_VERSION:
+        raise FormatError(
+            f"unknown format version: {version!r} (expected {FORMAT_VERSION!r})"
+        )
     for key in ("top_dim", "cells", "faces"):
-        _require(key in tree, f"document is missing the {key!r} key")
-    _require(isinstance(tree["cells"], dict), "'cells' must be an object")
-    _require(isinstance(tree["faces"], list), "'faces' must be an array")
+        if key not in tree:
+            raise FormatError(f"document is missing the {key!r} key")
+    if not isinstance(tree["cells"], dict):
+        raise FormatError("'cells' must be an object")
+    if not isinstance(tree["faces"], list):
+        raise FormatError("'faces' must be an array")
 
     cells = {}
     for dim_key, labels in tree["cells"].items():
@@ -117,43 +141,46 @@ def parse(data, check: bool = True) -> PrecubicalSet:
             dim = int(dim_key)
         except ValueError:
             raise FormatError(f"cell dimension key is not an integer: {dim_key!r}")
-        _require(isinstance(labels, list), f"cells[{dim_key!r}] must be an array")
+        if str(dim) != dim_key:
+            raise FormatError(
+                f"cell dimension key is not in canonical form: {dim_key!r} (expected {str(dim)!r})"
+            )
+        if not isinstance(labels, list):
+            raise FormatError(f"cells[{dim_key!r}] must be an array")
         for label in labels:
-            _require(isinstance(label, str), f"cell label is not a string: {label!r}")
+            if not isinstance(label, str):
+                raise FormatError(f"cell label is not a string: {label!r}")
         cells[dim] = labels
 
-    face_keys = {"dim", "i", "alpha", "cell", "value"}
     faces = {}
     for record in tree["faces"]:
-        _require(isinstance(record, dict), f"face record must be an object: {record!r}")
-        _require(
-            set(record) == face_keys,
-            f"face record must have exactly the keys dim, i, alpha, cell, value: {record!r}",
-        )
-        for field in ("dim", "i", "alpha"):
-            _require(
-                isinstance(record[field], int) and not isinstance(record[field], bool),
-                f"face field {field!r} must be an integer: {record!r}",
-            )
-        for field in ("cell", "value"):
-            _require(
-                isinstance(record[field], str),
-                f"face field {field!r} must be a string: {record!r}",
-            )
+        # json.loads yields exact dict, int, bool and str objects, so these
+        # type tests agree with the isinstance tests of _check_record
+        if not (
+            type(record) is dict
+            and record.keys() == _FACE_KEYS
+            and type(record["dim"]) is int
+            and type(record["i"]) is int
+            and type(record["alpha"]) is int
+            and type(record["cell"]) is str
+            and type(record["value"]) is str
+        ):
+            _check_record(record)
         faces[(record["dim"], record["i"], record["alpha"], record["cell"])] = record["value"]
-    _require(
-        len(faces) == len(tree["faces"]),
-        "duplicate face records for the same (dim, i, alpha, cell)",
-    )
+    if len(faces) != len(tree["faces"]):
+        raise FormatError("duplicate face records for the same (dim, i, alpha, cell)")
 
     try:
         K = PrecubicalSet(cells, faces)
     except ValueError as exc:
         raise FormatError(f"malformed document: {exc}") from exc
-    _require(
-        tree["top_dim"] == K.top_dim,
-        f"declared top_dim {tree['top_dim']} does not match cells (top dimension {K.top_dim})",
-    )
+    top_dim = tree["top_dim"]
+    if not isinstance(top_dim, int) or isinstance(top_dim, bool):
+        raise FormatError(f"'top_dim' must be an integer: {top_dim!r}")
+    if top_dim != K.top_dim:
+        raise FormatError(
+            f"declared top_dim {top_dim} does not match cells (top dimension {K.top_dim})"
+        )
     if check:
         violations = validate(K)
         if violations:

@@ -247,17 +247,19 @@ def enumerate_path_classes(
     if max_len < 1:
         raise ValueError("max_len must be positive")
     swap = _square_moves(K)
-    remaining = set(_paths_between(K, a, b, max_len))
+    paths = sorted(_paths_between(K, a, b, max_len))
+    remaining = set(paths)
     classes = []
-    while remaining:
-        seed = min(remaining)
+    # each unassigned path met in sorted order is the least member of its
+    # class, so it seeds the class and is its representative
+    for seed in paths:
+        if seed not in remaining:
+            continue
         members = _saturate(K, seed, swap)
         # completeness of the enumeration over this (a, b, length) slice
         assert members <= remaining
         remaining -= members
-        classes.append(
-            PathClass(min(members), members, a, b, len(seed))
-        )
+        classes.append(PathClass(seed, members, a, b, len(seed)))
     return tuple(sorted(classes, key=lambda c: (c.length, c.representative)))
 
 

@@ -142,6 +142,95 @@ class TestValidate:
         with pytest.raises(ValueError):
             PrecubicalSet({0: ["a"]}, {(1, 1, 0, "ghost"): "a"})
 
+    @pytest.mark.parametrize("cells, faces, message", [
+        ({True: ["a"]}, {}, "cell dimension must be a non-negative int: True"),
+        ({0: ["a"], 1: ["e"]}, {(True, 1, 0, "e"): "a"}, "face dimension must be an int >= 1: True"),
+        ({0: ["a"], 1: ["e"]}, {(1, True, 0, "e"): "a"}, "face index True out of range 1..1"),
+        ({0: ["a"], 1: ["e"]}, {(1, 1, False, "e"): "a"}, "face sign must be 0 or 1: False"),
+    ], ids=["cell-dim", "face-dim", "index", "sign"])
+    def test_booleans_are_not_indices(self, cells, faces, message):
+        with pytest.raises(ValueError) as err:
+            PrecubicalSet(cells, faces)
+        assert str(err.value) == message
+
+
+def brute_violations(K):
+    """Every defect validate should report, as (kind, dim, cell, i, alpha,
+    j, beta, detail) tuples: face defects over (dim, cell, i, alpha), then
+    relation failures over (dim, cell, j, i, alpha, beta)."""
+    table = K.face_map
+    declared = {(d, c) for d in range(K.top_dim + 1) for c in K.cells(d)}
+
+    def step(dim, cell, i, alpha):
+        value = table.get((dim, i, alpha, cell))
+        return value if (dim - 1, value) in declared else None
+
+    faces_out, relations_out = [], []
+    for dim, cell in sorted(declared):
+        for i, alpha in itertools.product(range(1, dim + 1), (0, 1)):
+            value = table.get((dim, i, alpha, cell))
+            if value is None:
+                faces_out.append(("missing-face", dim, cell, i, alpha, None, None, ""))
+            elif (dim - 1, value) not in declared:
+                faces_out.append(("dangling-face", dim, cell, i, alpha, None, None,
+                                  "points at undeclared cell %r" % (value,)))
+        for j in range(2, dim + 1):
+            for i, alpha, beta in itertools.product(range(1, j), (0, 1), (0, 1)):
+                jb, ia = step(dim, cell, j, beta), step(dim, cell, i, alpha)
+                if jb is None or ia is None:
+                    continue
+                left, right = step(dim - 1, jb, i, alpha), step(dim - 1, ia, j - 1, beta)
+                if left is not None and right is not None and left != right:
+                    detail = "d[%d,%d]d[%d,%d] = %r but d[%d,%d]d[%d,%d] = %r" % (
+                        i, alpha, j, beta, left, j - 1, beta, i, alpha, right)
+                    relations_out.append(
+                        ("cubical-relation", dim, cell, i, alpha, j, beta, detail))
+    return faces_out + relations_out
+
+
+def corrupt(K, rng, edits):
+    """K with some face entries removed, pointed at undeclared cells, or
+    swapped with another entry of the same dimension."""
+    table = K.face_map
+    keys = sorted(table)
+    for _ in range(edits):
+        key = rng.choice(keys)
+        if key not in table:
+            continue
+        roll = rng.random()
+        if roll < 0.3:
+            del table[key]
+        elif roll < 0.5:
+            table[key] = rng.choice(["ghost", "*", ""])
+        else:
+            other = rng.choice([k for k in keys if k[0] == key[0] and k in table])
+            table[key], table[other] = table[other], table[key]
+    return PrecubicalSet({d: K.cells(d) for d in range(K.top_dim + 1)}, table)
+
+
+class TestValidateAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_corruptions(self, seed):
+        rng = random.Random(seed)
+        base = rng.choice([standard_cube(3), standard_cube(4), boundary_cube(4),
+                           random_glued_complex(rng)])
+        K = corrupt(base, rng, rng.randint(1, 6))
+        got = [(v.kind, v.dim, v.cell, v.i, v.alpha, v.j, v.beta, v.detail) for v in validate(K)]
+        assert got == brute_violations(K)
+
+    def test_every_kind_is_exercised(self):
+        kinds = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            base = rng.choice([standard_cube(3), standard_cube(4), boundary_cube(4),
+                               random_glued_complex(rng)])
+            kinds.update(v[0] for v in brute_violations(corrupt(base, rng, rng.randint(1, 6))))
+        assert kinds == {"missing-face", "dangling-face", "cubical-relation"}
+
+    def test_valid_corpus_agrees(self, corpus_complex):
+        _, K = corpus_complex
+        assert brute_violations(K) == []
+
 
 class TestSkeleton:
     def test_square_skeleton_is_its_boundary(self):

@@ -1,11 +1,15 @@
 """Document format: canonical serialization, parsing, named generators."""
 
+import copy
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from precubical import (
     FormatError,
+    PrecubicalSet,
     boundary_cube,
     circle,
     cylinder,
@@ -16,11 +20,12 @@ from precubical import (
     serialize,
     skeleton,
     standard_cube,
+    tensor,
     torus,
     validate,
 )
 
-from conftest import glued_circle
+from conftest import glued_circle, random_glued_complex
 
 
 class TestRoundTrip:
@@ -174,3 +179,265 @@ class TestGenerate:
             generate("torus", -1)
         with pytest.raises(ValueError):
             generate("interval", -2)
+
+
+def reference_text(K) -> str:
+    """The canonical text by way of the json module's own encoder."""
+    tree = {
+        "format_version": "1",
+        "top_dim": K.top_dim,
+        "cells": {str(d): list(K.cells(d)) for d in range(K.top_dim + 1) if K.cells(d)},
+        "faces": [
+            {"dim": dim, "i": i, "alpha": alpha, "cell": cell, "value": value}
+            for (dim, i, alpha, cell), value in K.face_map.items()
+        ],
+    }
+    tree["faces"].sort(key=lambda r: (r["dim"], r["cell"], r["i"], r["alpha"]))
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+ODD_LABELS = PrecubicalSet(
+    {
+        0: ["plain", "café", "☃ snow", 'say "hi"', "back\\slash", "tab\there", "bell\x07"],
+        1: ["new\nline", "\U0001f600", "\x00nul"],
+    },
+    {
+        (1, 1, 0, "new\nline"): "café",
+        (1, 1, 1, "new\nline"): 'say "hi"',
+        (1, 1, 0, "\U0001f600"): "back\\slash",
+        (1, 1, 1, "\U0001f600"): "tab\there",
+        (1, 1, 0, "\x00nul"): "bell\x07",
+        (1, 1, 1, "\x00nul"): "☃ snow",
+    },
+)
+
+
+class TestCanonicalWriter:
+    def test_matches_json_dumps_on_corpus(self, corpus_complex):
+        _, K = corpus_complex
+        assert serialize(K) == reference_text(K)
+
+    def test_empty_complex(self):
+        K = PrecubicalSet({}, {})
+        assert serialize(K) == reference_text(K)
+        assert '"cells": {},' in serialize(K) and '"faces": [],' in serialize(K)
+
+    def test_escaped_and_non_ascii_labels(self):
+        assert validate(ODD_LABELS) == []
+        text = serialize(ODD_LABELS)
+        assert text == reference_text(ODD_LABELS)
+        assert text.isascii()
+        assert parse(text) == ODD_LABELS
+
+    def test_dimension_keys_sort_as_strings(self):
+        K = tensor(torus(5), torus(5))
+        assert K.top_dim == 10
+        text = serialize(K)
+        assert text == reference_text(K)
+        assert text.index('"10": [') < text.index('"2": [')
+        assert parse(text) == K
+
+    def test_vertices_only(self):
+        K = skeleton(standard_cube(3), 0)
+        assert serialize(K) == reference_text(K)
+
+    def test_unvalidated_complex_with_dangling_value(self):
+        K = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "a", (1, 1, 1, "e"): "ghöst"})
+        assert serialize(K) == reference_text(K)
+
+
+class TestStrictParsing:
+    def test_leading_zero_dimension_key_rejected(self):
+        # "0" and "00" used to collapse onto dimension 0, dropping "a"
+        text = json.dumps({
+            "format_version": "1", "top_dim": 1,
+            "cells": {"0": ["a"], "00": ["b"], "1": ["e"]},
+            "faces": [
+                {"dim": 1, "i": 1, "alpha": 0, "cell": "e", "value": "a"},
+                {"dim": 1, "i": 1, "alpha": 1, "cell": "e", "value": "b"},
+            ],
+        })
+        with pytest.raises(FormatError, match=r"not in canonical form: '00' \(expected '0'\)"):
+            parse(text)
+
+    def test_padded_dimension_key_rejected(self):
+        tree = json.loads(serialize(standard_cube(1)))
+        tree["cells"][" +0 "] = tree["cells"].pop("0")
+        with pytest.raises(FormatError, match=r"not in canonical form: ' \+0 '"):
+            parse(json.dumps(tree))
+
+    def test_underscored_dimension_key_rejected(self):
+        tree = json.loads(serialize(standard_cube(1)))
+        tree["cells"]["0_1"] = ["x"]
+        with pytest.raises(FormatError, match="not in canonical form: '0_1'"):
+            parse(json.dumps(tree))
+
+    def test_boolean_top_dim_rejected(self):
+        tree = json.loads(serialize(standard_cube(1)))
+        tree["top_dim"] = True
+        with pytest.raises(FormatError, match="'top_dim' must be an integer: True"):
+            parse(json.dumps(tree))
+
+    def test_float_top_dim_rejected(self):
+        tree = json.loads(serialize(standard_cube(1)))
+        tree["top_dim"] = 1.0
+        with pytest.raises(FormatError, match="'top_dim' must be an integer: 1.0"):
+            parse(json.dumps(tree))
+
+    def test_string_top_dim_rejected(self):
+        tree = json.loads(serialize(standard_cube(1)))
+        tree["top_dim"] = "1"
+        with pytest.raises(FormatError, match="'top_dim' must be an integer: '1'"):
+            parse(json.dumps(tree))
+
+
+SQUARE_TREE = {
+    "format_version": "1",
+    "top_dim": 2,
+    "cells": {"0": ["00", "01", "10", "11"], "1": ["*0", "*1", "0*", "1*"], "2": ["**"]},
+    "faces": [
+        {"alpha": 0, "cell": "*0", "dim": 1, "i": 1, "value": "00"},
+        {"alpha": 1, "cell": "*0", "dim": 1, "i": 1, "value": "10"},
+        {"alpha": 0, "cell": "*1", "dim": 1, "i": 1, "value": "01"},
+        {"alpha": 1, "cell": "*1", "dim": 1, "i": 1, "value": "11"},
+        {"alpha": 0, "cell": "0*", "dim": 1, "i": 1, "value": "00"},
+        {"alpha": 1, "cell": "0*", "dim": 1, "i": 1, "value": "01"},
+        {"alpha": 0, "cell": "1*", "dim": 1, "i": 1, "value": "10"},
+        {"alpha": 1, "cell": "1*", "dim": 1, "i": 1, "value": "11"},
+        {"alpha": 0, "cell": "**", "dim": 2, "i": 1, "value": "0*"},
+        {"alpha": 1, "cell": "**", "dim": 2, "i": 1, "value": "1*"},
+        {"alpha": 0, "cell": "**", "dim": 2, "i": 2, "value": "*0"},
+        {"alpha": 1, "cell": "**", "dim": 2, "i": 2, "value": "*1"},
+    ],
+}
+
+def _set(path, value):
+    def mutate(tree):
+        *outer, last = path
+        for key in outer:
+            tree = tree[key]
+        tree[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(tree):
+        *outer, last = path
+        for key in outer:
+            tree = tree[key]
+        del tree[last]
+    return mutate
+
+
+def _relation_break(tree):
+    for record in tree["faces"]:
+        if record["dim"] == 2 and record["i"] == 1 and record["alpha"] == 0:
+            record["value"] = "*1"
+
+
+# each kind of malformed document with the full message parse gives it
+MALFORMED = [
+    ("no-version", _drop(["format_version"]), "unknown format version: None (expected '1')"),
+    ("version", _set(["format_version"], "9"), "unknown format version: '9' (expected '1')"),
+    ("version-int", _set(["format_version"], 1), "unknown format version: 1 (expected '1')"),
+    ("no-top-dim", _drop(["top_dim"]), "document is missing the 'top_dim' key"),
+    ("no-cells", _drop(["cells"]), "document is missing the 'cells' key"),
+    ("no-faces", _drop(["faces"]), "document is missing the 'faces' key"),
+    ("cells-array", _set(["cells"], []), "'cells' must be an object"),
+    ("faces-object", _set(["faces"], {}), "'faces' must be an array"),
+    ("dim-key", _set(["cells", "x"], ["a"]), "cell dimension key is not an integer: 'x'"),
+    ("labels-string", _set(["cells", "0"], "00"), "cells['0'] must be an array"),
+    ("label-int", _set(["cells", "1", 0], 5), "cell label is not a string: 5"),
+    ("record-int", _set(["faces", 0], 3), "face record must be an object: 3"),
+    ("record-short", _drop(["faces", 0, "value"]),
+     "face record must have exactly the keys dim, i, alpha, cell, value: "
+     "{'alpha': 0, 'cell': '*0', 'dim': 1, 'i': 1}"),
+    ("record-long", _set(["faces", 0, "extra"], 1),
+     "face record must have exactly the keys dim, i, alpha, cell, value: "
+     "{'alpha': 0, 'cell': '*0', 'dim': 1, 'i': 1, 'value': '00', 'extra': 1}"),
+    ("dim-string", _set(["faces", 0, "dim"], "1"),
+     "face field 'dim' must be an integer: {'alpha': 0, 'cell': '*0', 'dim': '1', 'i': 1, 'value': '00'}"),
+    ("i-bool", _set(["faces", 0, "i"], True),
+     "face field 'i' must be an integer: {'alpha': 0, 'cell': '*0', 'dim': 1, 'i': True, 'value': '00'}"),
+    ("alpha-float", _set(["faces", 0, "alpha"], 0.0),
+     "face field 'alpha' must be an integer: {'alpha': 0.0, 'cell': '*0', 'dim': 1, 'i': 1, 'value': '00'}"),
+    ("cell-int", _set(["faces", 0, "cell"], 7),
+     "face field 'cell' must be a string: {'alpha': 0, 'cell': 7, 'dim': 1, 'i': 1, 'value': '00'}"),
+    ("value-null", _set(["faces", 0, "value"], None),
+     "face field 'value' must be a string: {'alpha': 0, 'cell': '*0', 'dim': 1, 'i': 1, 'value': None}"),
+    ("duplicate", lambda t: t["faces"].append(dict(t["faces"][0])),
+     "duplicate face records for the same (dim, i, alpha, cell)"),
+    ("negative-dim", _set(["cells", "-1"], ["z"]),
+     "malformed document: cell dimension must be a non-negative int: -1"),
+    ("index-range", _set(["faces", 0, "i"], 2), "malformed document: face index 2 out of range 1..1"),
+    ("sign", _set(["faces", 0, "alpha"], 2), "malformed document: face sign must be 0 or 1: 2"),
+    ("face-dim", _set(["faces", 0, "dim"], 0),
+     "malformed document: face dimension must be an int >= 1: 0"),
+    ("undeclared", _set(["faces", 0, "cell"], "ghost"),
+     "malformed document: face keyed on undeclared cell (1, 'ghost')"),
+    ("duplicate-label", lambda t: t["cells"]["0"].append("00"),
+     "malformed document: duplicate labels in dimension 0: ['00']"),
+    ("top-dim", _set(["top_dim"], 5), "declared top_dim 5 does not match cells (top dimension 2)"),
+    ("missing", lambda t: t["faces"].pop(0),
+     "document violates the precubical axioms: missing-face at dim 1 cell '*0' (i=1, alpha=0)"),
+    ("dangling", _set(["faces", 3, "value"], "nowhere"),
+     "document violates the precubical axioms: dangling-face at dim 1 cell '*1' (i=1, alpha=1): "
+     "points at undeclared cell 'nowhere'"),
+    ("relation", _relation_break,
+     "document violates the precubical axioms: cubical-relation at dim 2 cell '**' "
+     "(i=1, alpha=0, j=2, beta=0): d[1,0]d[2,0] = '00' but d[1,0]d[1,0] = '01'; "
+     "cubical-relation at dim 2 cell '**' (i=1, alpha=0, j=2, beta=1): "
+     "d[1,0]d[2,1] = '01' but d[1,1]d[1,0] = '11'"),
+    ("no-faces-at-all", _set(["faces"], []),
+     "document violates the precubical axioms: missing-face at dim 1 cell '*0' (i=1, alpha=0); "
+     "missing-face at dim 1 cell '*0' (i=1, alpha=1); missing-face at dim 1 cell '*1' (i=1, alpha=0); "
+     "missing-face at dim 1 cell '*1' (i=1, alpha=1); missing-face at dim 1 cell '0*' (i=1, alpha=0) "
+     "(and 7 more)"),
+]
+
+
+class TestMalformedMessages:
+    def test_square_tree_is_the_canonical_square(self):
+        assert json.loads(serialize(standard_cube(2))) == SQUARE_TREE
+
+    @pytest.mark.parametrize("mutate, message", [m[1:] for m in MALFORMED],
+                             ids=[m[0] for m in MALFORMED])
+    def test_message(self, mutate, message):
+        tree = copy.deepcopy(SQUARE_TREE)
+        mutate(tree)
+        with pytest.raises(FormatError) as err:
+            parse(json.dumps(tree))
+        assert str(err.value) == message
+
+    def test_top_level_array(self):
+        with pytest.raises(FormatError) as err:
+            parse("[1, 2]")
+        assert str(err.value) == "document must be a JSON object"
+
+    def test_syntax_error(self):
+        with pytest.raises(FormatError) as err:
+            parse("{not json")
+        assert str(err.value) == (
+            "syntax error at position 1: Expecting property name enclosed in double quotes"
+        )
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_gluings_round_trip(self, seed):
+        K = random_glued_complex(random.Random(seed))
+        text = serialize(K)
+        assert text == reference_text(K)
+        back = parse(text)
+        assert back == K
+        assert serialize(back) == text
+
+
+def test_readme_example_is_the_circle_document():
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Document format", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert example == serialize(circle())
