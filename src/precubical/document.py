@@ -88,23 +88,6 @@ def serialize(K: PrecubicalSet) -> str:
 _FACE_KEYS = frozenset({"dim", "i", "alpha", "cell", "value"})
 
 
-def _check_record(record):
-    """Raise the FormatError for the first defect of a face record that
-    failed the combined check in parse, testing in the documented order."""
-    if not isinstance(record, dict):
-        raise FormatError(f"face record must be an object: {record!r}")
-    if record.keys() != _FACE_KEYS:
-        raise FormatError(
-            f"face record must have exactly the keys dim, i, alpha, cell, value: {record!r}"
-        )
-    for field in ("dim", "i", "alpha"):
-        if not isinstance(record[field], int) or isinstance(record[field], bool):
-            raise FormatError(f"face field {field!r} must be an integer: {record!r}")
-    for field in ("cell", "value"):
-        if not isinstance(record[field], str):
-            raise FormatError(f"face field {field!r} must be a string: {record!r}")
-
-
 def parse(data, check: bool = True) -> PrecubicalSet:
     """Read a document back into a precubical set.
 
@@ -154,18 +137,20 @@ def parse(data, check: bool = True) -> PrecubicalSet:
 
     faces = {}
     for record in tree["faces"]:
-        # json.loads yields exact dict, int, bool and str objects, so these
-        # type tests agree with the isinstance tests of _check_record
-        if not (
-            type(record) is dict
-            and record.keys() == _FACE_KEYS
-            and type(record["dim"]) is int
-            and type(record["i"]) is int
-            and type(record["alpha"]) is int
-            and type(record["cell"]) is str
-            and type(record["value"]) is str
-        ):
-            _check_record(record)
+        if not isinstance(record, dict):
+            raise FormatError(f"face record must be an object: {record!r}")
+        if record.keys() != _FACE_KEYS:
+            raise FormatError(
+                f"face record must have exactly the keys dim, i, alpha, cell, value: {record!r}"
+            )
+        # json.loads yields exact int and str objects, so the type tests
+        # below reject bools and floats
+        for field in ("dim", "i", "alpha"):
+            if type(record[field]) is not int:
+                raise FormatError(f"face field {field!r} must be an integer: {record!r}")
+        for field in ("cell", "value"):
+            if type(record[field]) is not str:
+                raise FormatError(f"face field {field!r} must be a string: {record!r}")
         faces[(record["dim"], record["i"], record["alpha"], record["cell"])] = record["value"]
     if len(faces) != len(tree["faces"]):
         raise FormatError("duplicate face records for the same (dim, i, alpha, cell)")

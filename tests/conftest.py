@@ -7,6 +7,7 @@ counts come from raw word enumeration.
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -144,3 +145,18 @@ def flow_word_count(n: int) -> int:
         for word in itertools.product("01*", repeat=n)
         if "*" in word
     )
+
+
+def reference_text(K) -> str:
+    """The canonical text by way of the json module's own encoder."""
+    tree = {
+        "format_version": "1",
+        "top_dim": K.top_dim,
+        "cells": {str(d): list(K.cells(d)) for d in range(K.top_dim + 1) if K.cells(d)},
+        "faces": [
+            {"dim": dim, "i": i, "alpha": alpha, "cell": cell, "value": value}
+            for (dim, i, alpha, cell), value in K.face_map.items()
+        ],
+    }
+    tree["faces"].sort(key=lambda r: (r["dim"], r["cell"], r["i"], r["alpha"]))
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
