@@ -56,7 +56,6 @@ from .homology import (
     smith_normal_form,
 )
 from .globular import (
-    GlobularCell,
     GlobularDecomposition,
     decomposition_report,
     globular_decomposition,
@@ -85,7 +84,7 @@ __all__ = [
     "state_order",
     "ChainComplex", "HomologyResult", "chain_complex", "euler_characteristic",
     "homology", "smith_normal_form",
-    "GlobularCell", "GlobularDecomposition", "decomposition_report",
+    "GlobularDecomposition", "decomposition_report",
     "globular_decomposition",
     "FormatError", "circle", "cylinder", "generate", "interval",
     "parse", "serialize", "torus",

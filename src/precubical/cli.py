@@ -27,72 +27,27 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _load(path: str, check: bool = True) -> PrecubicalSet:
-    return parse(_read(path), check=check)
-
-
-def _emit(args, payload) -> None:
-    if isinstance(payload, str):
-        text = payload  # already canonical document text
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_validate(args) -> int:
-    K = _load(args.path, check=False)
+def _validate(K: PrecubicalSet, args) -> dict:
     violations = validate(K)
-    _emit(args, {
+    return {
         "valid": not violations,
         "violations": [v.as_dict() for v in violations],
-    })
-    return 0 if not violations else 1
+    }
 
 
-def _cmd_info(args) -> int:
-    K = _load(args.path)
+def _info(K: PrecubicalSet, args) -> dict:
     counts = {str(d): K.n_cells(d) for d in range(K.top_dim + 1)}
-    _emit(args, {
+    return {
         "top_dim": K.top_dim,
         "cells": counts,
         "total": sum(counts.values()),
-    })
-    return 0
+    }
 
 
-def _cmd_skeleton(args) -> int:
-    K = _load(args.path)
-    _emit(args, serialize(skeleton(K, args.dim)))
-    return 0
-
-
-def _cmd_homology(args) -> int:
-    K = _load(args.path)
-    _emit(args, homology(K).rows())
-    return 0
-
-
-def _cmd_euler(args) -> int:
-    K = _load(args.path)
-    _emit(args, {"euler_characteristic": euler_characteristic(K)})
-    return 0
-
-
-def _cmd_states(args) -> int:
-    K = _load(args.path)
-    _emit(args, {"states": sorted(realize_states(K))})
-    return 0
-
-
-def _cmd_paths(args) -> int:
-    K = _load(args.path)
+def _paths(K: PrecubicalSet, args) -> dict:
     max_len = args.max_len if args.max_len is not None else max(K.n_cells(1), 1)
     classes = enumerate_path_classes(K, args.src, args.dst, max_len)
-    _emit(args, {
+    return {
         "from": args.src,
         "to": args.dst,
         "max_len": max_len,
@@ -104,38 +59,22 @@ def _cmd_paths(args) -> int:
             }
             for c in classes
         ],
-    })
-    return 0
+    }
 
 
-def _cmd_order(args) -> int:
-    K = _load(args.path)
+def _order(K: PrecubicalSet, args) -> dict:
     result = state_order(K)
     if isinstance(result, LoopReport):
-        _emit(args, {
+        return {
             "loopless": False,
             "cycle": list(result.cycle),
             "cycle_states": list(result.states),
-        })
-    else:
-        _emit(args, {
-            "loopless": True,
-            "states": list(result.states),
-            "pairs": sorted([a, b] for a, b in result.pairs),
-        })
-    return 0
-
-
-def _cmd_globular(args) -> int:
-    K = _load(args.path)
-    _emit(args, globular_decomposition(K).as_dict())
-    return 0
-
-
-def _cmd_generate(args) -> int:
-    K = generate(args.family, args.param)
-    _emit(args, serialize(K))
-    return 0
+        }
+    return {
+        "loopless": True,
+        "states": list(result.states),
+        "pairs": sorted([a, b] for a, b in result.pairs),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,31 +85,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, with_path=True):
+    def add(name, report, help_, with_path=True):
         p = sub.add_parser(name, help=help_)
         if with_path:
             p.add_argument("path", help="document path, or - for standard input")
+        else:
+            p.set_defaults(path=None)
         p.add_argument("-o", dest="output", metavar="PATH",
                        help="write the report here instead of standard output")
-        p.set_defaults(func=func)
+        p.set_defaults(report=report)
         return p
 
-    add("validate", _cmd_validate, "check the precubical axioms, exit 1 on violations")
-    add("info", _cmd_info, "cell counts per dimension")
-    p = add("skeleton", _cmd_skeleton, "emit the document of the n-skeleton")
+    add("validate", _validate, "check the precubical axioms, exit 1 on violations")
+    add("info", _info, "cell counts per dimension")
+    p = add("skeleton", lambda K, args: serialize(skeleton(K, args.dim)),
+            "emit the document of the n-skeleton")
     p.add_argument("--dim", type=int, required=True, help="largest dimension to keep")
-    add("homology", _cmd_homology, "integer homology (Betti numbers and torsion)")
-    add("euler", _cmd_euler, "Euler characteristic")
-    add("states", _cmd_states, "states of the realized flow")
-    p = add("paths", _cmd_paths, "execution-path classes between two states")
+    add("homology", lambda K, args: homology(K).rows(),
+        "integer homology (Betti numbers and torsion)")
+    add("euler", lambda K, args: {"euler_characteristic": euler_characteristic(K)},
+        "Euler characteristic")
+    add("states", lambda K, args: {"states": sorted(realize_states(K))},
+        "states of the realized flow")
+    p = add("paths", _paths, "execution-path classes between two states")
     p.add_argument("--from", dest="src", required=True, metavar="STATE")
     p.add_argument("--to", dest="dst", required=True, metavar="STATE")
     p.add_argument("--max-len", dest="max_len", type=int, default=None,
                    help="path length bound (default: number of edges)")
-    add("order", _cmd_order, "induced state order, or a cycle witness")
-    add("globular", _cmd_globular, "globular cell ledger")
-    p = add("generate", _cmd_generate, "emit a named complex as a document",
-            with_path=False)
+    add("order", _order, "induced state order, or a cycle witness")
+    add("globular", lambda K, args: globular_decomposition(K).as_dict(),
+        "globular cell ledger")
+    p = add("generate", lambda K, args: serialize(generate(args.family, args.param)),
+            "emit a named complex as a document", with_path=False)
     p.add_argument("family", help="cube, boundary, circle, torus, cylinder, interval")
     p.add_argument("param", nargs="?", type=int, default=None,
                    help="integer parameter where the family takes one")
@@ -179,17 +125,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    validating = args.command == "validate"
     try:
-        return args.func(args)
+        K = None if args.path is None else parse(_read(args.path), check=not validating)
+        payload = args.report(K, args)
+        if isinstance(payload, str):
+            text = payload  # already canonical document text
+        else:
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if args.output and args.output != "-":
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 1 if validating and not payload["valid"] else 0
 
 
 if __name__ == "__main__":

@@ -37,11 +37,29 @@ class EdgePath:
 
 @dataclass(frozen=True)
 class FlowAtom:
-    """The generating morphism diag(c) of one positive-dimensional cell."""
+    """The generating morphism diag(c) of one positive-dimensional cube c.
 
-    cell: CellId
+    It runs from the cube's all-zeros corner to its all-ones corner, and in
+    the globular decomposition it is the globe of dimension dim(c) - 1
+    attached between those two vertices.
+    """
+
+    cube: CellId
     source: str
     target: str
+
+    @property
+    def globe_dim(self) -> int:
+        return self.cube.dim - 1
+
+    def as_dict(self) -> dict:
+        return {
+            "cube": self.cube.label,
+            "dim": self.cube.dim,
+            "globe_dim": self.globe_dim,
+            "source": self.source,
+            "target": self.target,
+        }
 
 
 @dataclass(frozen=True)
@@ -165,31 +183,35 @@ def _square_moves(K: PrecubicalSet) -> dict:
 
     For a 2-cell s the pair (d[2,0]s, d[1,1]s) and the pair
     (d[1,0]s, d[2,1]s) are the two boundary composites of s and may replace
-    one another inside any path.
+    one another inside any path.  A move must keep the path's endpoints, so
+    a square whose composites start or end at different vertices raises
+    ValueError.
     """
     swap: dict[tuple[str, str], set] = {}
     for s in K.cells(2):
         low = (K.face_label(2, s, 2, 0), K.face_label(2, s, 1, 1))
         high = (K.face_label(2, s, 1, 0), K.face_label(2, s, 2, 1))
+        if all(K.has_cell(1, e) for e in low + high) and (
+            _edge_ends(K, low[0])[0] != _edge_ends(K, high[0])[0]
+            or _edge_ends(K, low[1])[1] != _edge_ends(K, high[1])[1]
+        ):
+            raise ValueError(
+                f"square {s!r}: boundary composites {low!r} and {high!r} "
+                "do not share their endpoints"
+            )
         swap.setdefault(low, set()).add(high)
         swap.setdefault(high, set()).add(low)
     return swap
 
 
-def _saturate(K: PrecubicalSet, start: tuple[str, ...], swap=None) -> frozenset:
+def _saturate(start: tuple[str, ...], swap: dict) -> frozenset:
     """All paths reachable from start by square moves, as edge tuples."""
-    if swap is None:
-        swap = _square_moves(K)
     seen = {start}
     frontier = [start]
     while frontier:
         path = frontier.pop()
         for k in range(len(path) - 1):
-            pair = (path[k], path[k + 1])
-            for alt in swap.get(pair, ()):
-                # moves must preserve the endpoint chain
-                assert _edge_ends(K, alt[0])[0] == _edge_ends(K, pair[0])[0]
-                assert _edge_ends(K, alt[1])[1] == _edge_ends(K, pair[1])[1]
+            for alt in swap.get((path[k], path[k + 1]), ()):
                 candidate = path[:k] + alt + path[k + 2 :]
                 if candidate not in seen:
                     seen.add(candidate)
@@ -209,16 +231,21 @@ def path_equal(K: PrecubicalSet, p, q) -> bool:
         return False
     if p.edges == q.edges:
         return True
-    return q.edges in _saturate(K, p.edges)
+    return q.edges in _saturate(p.edges, _square_moves(K))
 
 
-def _paths_between(K: PrecubicalSet, a: str, b: str, max_len: int):
-    """All edge tuples from a to b of length 1..max_len."""
-    outgoing: dict[str, list[tuple[str, str]]] = {}
+def _outgoing(K: PrecubicalSet) -> dict:
+    """Map each state to the (edge, target) pairs of the edges leaving it."""
+    outgoing: dict[str, list[tuple[str, str]]] = {s: [] for s in K.cells(0)}
     for e in K.cells(1):
         src, tgt = _edge_ends(K, e)
         outgoing.setdefault(src, []).append((e, tgt))
-    found = []
+    return outgoing
+
+
+def _paths_from(outgoing: dict, a: str, max_len: int) -> dict:
+    """All edge tuples out of a of length 1..max_len, grouped by target."""
+    by_target: dict[str, list[tuple[str, ...]]] = {}
     stack = [(a, ())]
     while stack:
         at, prefix = stack.pop()
@@ -226,28 +253,18 @@ def _paths_between(K: PrecubicalSet, a: str, b: str, max_len: int):
             continue
         for e, tgt in outgoing.get(at, ()):
             path = prefix + (e,)
-            if tgt == b:
-                found.append(path)
+            by_target.setdefault(tgt, []).append(path)
             stack.append((tgt, path))
-    return found
+    return by_target
 
 
-def enumerate_path_classes(
-    K: PrecubicalSet, a: str, b: str, max_len: int
-) -> tuple[PathClass, ...]:
-    """All square-move classes of edge paths from a to b of length <= max_len.
+def _classify(paths, swap: dict, a: str, b: str) -> tuple[PathClass, ...]:
+    """Split every path from a to b within a length bound into its classes.
 
     Complete within the bound: square moves preserve length, so each class
-    is contained in the enumerated set.  Classes are sorted by length and
-    then by canonical representative.
+    is contained in the enumerated set.
     """
-    for state in (a, b):
-        if not K.has_cell(0, state):
-            raise ValueError(f"unknown state: {state!r}")
-    if max_len < 1:
-        raise ValueError("max_len must be positive")
-    swap = _square_moves(K)
-    paths = sorted(_paths_between(K, a, b, max_len))
+    paths = sorted(paths)
     remaining = set(paths)
     classes = []
     # each unassigned path met in sorted order is the least member of its
@@ -255,12 +272,31 @@ def enumerate_path_classes(
     for seed in paths:
         if seed not in remaining:
             continue
-        members = _saturate(K, seed, swap)
-        # completeness of the enumeration over this (a, b, length) slice
-        assert members <= remaining
+        members = _saturate(seed, swap)
+        if not members <= remaining:
+            raise ValueError(
+                f"square moves lead from {seed!r} out of the edge paths "
+                f"from {a!r} to {b!r}"
+            )
         remaining -= members
         classes.append(PathClass(seed, members, a, b, len(seed)))
     return tuple(sorted(classes, key=lambda c: (c.length, c.representative)))
+
+
+def enumerate_path_classes(
+    K: PrecubicalSet, a: str, b: str, max_len: int
+) -> tuple[PathClass, ...]:
+    """All square-move classes of edge paths from a to b of length <= max_len.
+
+    Classes are sorted by length and then by canonical representative.
+    """
+    for state in (a, b):
+        if not K.has_cell(0, state):
+            raise ValueError(f"unknown state: {state!r}")
+    if max_len < 1:
+        raise ValueError("max_len must be positive")
+    paths = _paths_from(_outgoing(K), a, max_len).get(b, ())
+    return _classify(paths, _square_moves(K), a, b)
 
 
 def count_flow_morphisms(K: PrecubicalSet, max_len: int) -> int:
@@ -274,11 +310,12 @@ def count_flow_morphisms(K: PrecubicalSet, max_len: int) -> int:
         raise ValueError("max_len must be nonnegative")
     if max_len == 0:
         return 0
-    states = K.cells(0)
+    outgoing = _outgoing(K)
+    swap = _square_moves(K)
     return sum(
-        len(enumerate_path_classes(K, a, b, max_len))
-        for a in states
-        for b in states
+        len(_classify(paths, swap, a, b))
+        for a in K.cells(0)
+        for b, paths in _paths_from(outgoing, a, max_len).items()
     )
 
 
@@ -290,10 +327,7 @@ def state_order(K: PrecubicalSet):
     directed cycle of edges otherwise.
     """
     states = K.cells(0)
-    outgoing: dict[str, list[tuple[str, str]]] = {s: [] for s in states}
-    for e in K.cells(1):
-        src, tgt = _edge_ends(K, e)
-        outgoing[src].append((e, tgt))
+    outgoing = _outgoing(K)
 
     # iterative DFS; path_edges[k] is the edge that entered stack frame k+1,
     # so a back edge into a gray state closes a cycle along the stack

@@ -2,9 +2,10 @@
 
 The realized flow of K carries a globular decomposition with exactly one
 cell per cube of dimension n + 1 >= 1: a globe of dimension n attached
-between the cube's all-zeros and all-ones corner vertices.  Cells are
-grouped by skeletal stage, stage n holding the cells of the n-cubes, so
-the boundary data of a stage only involves earlier stages.
+between the cube's all-zeros and all-ones corner vertices.  Those cells
+are the flow's atoms (`FlowAtom`, from `realize_flow`), grouped here by
+skeletal stage, stage n holding the cells of the n-cubes, so the boundary
+data of a stage only involves earlier stages.
 
 Attaching maps are deliberately absent from the ledger: they are not
 canonical, while the cube, the globe dimension and the two endpoint
@@ -15,29 +16,10 @@ fields are exported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
-from .core import CellId, PrecubicalSet
-from .flow import corner
-
-
-@dataclass(frozen=True)
-class GlobularCell:
-    """One attached globe: the cube it comes from, the globe dimension
-    (cube dimension minus one) and the endpoint vertices."""
-
-    cube: CellId
-    globe_dim: int
-    source: str
-    target: str
-
-    def as_dict(self) -> dict:
-        return {
-            "cube": self.cube.label,
-            "dim": self.cube.dim,
-            "globe_dim": self.globe_dim,
-            "source": self.source,
-            "target": self.target,
-        }
+from .core import PrecubicalSet
+from .flow import FlowAtom, realize_flow
 
 
 @dataclass(frozen=True)
@@ -51,7 +33,7 @@ class GlobularDecomposition:
     vertices: tuple[str, ...]
     stages: dict
 
-    def cells(self) -> tuple[GlobularCell, ...]:
+    def cells(self) -> tuple[FlowAtom, ...]:
         """All cells flattened in skeletal order."""
         out = []
         for dim in sorted(self.stages):
@@ -67,20 +49,13 @@ class GlobularDecomposition:
 
 def globular_decomposition(K: PrecubicalSet) -> GlobularDecomposition:
     """One globular cell per positive-dimensional cube, endpoints its corners."""
-    stages = {}
-    for dim in range(1, K.top_dim + 1):
-        cells = tuple(
-            GlobularCell(
-                CellId(dim, label),
-                dim - 1,
-                corner(K, CellId(dim, label), 0),
-                corner(K, CellId(dim, label), 1),
-            )
-            for label in K.cells(dim)
-        )
-        if cells:
-            stages[dim] = cells
-    return GlobularDecomposition(K.cells(0), stages)
+    flow = realize_flow(K)
+    # atoms come in (dimension, label) order, so each stage is one run
+    stages = {
+        dim: tuple(atoms)
+        for dim, atoms in groupby(flow.atoms, key=lambda atom: atom.cube.dim)
+    }
+    return GlobularDecomposition(flow.states, stages)
 
 
 def decomposition_report(K: PrecubicalSet) -> dict:

@@ -7,8 +7,8 @@ The chain complex has one free generator per cell and boundary
 a fixed sign convention under which d o d = 0 follows from the cubical
 relations (the two ways of removing a pair of coordinates cancel).  Betti
 numbers and torsion coefficients come from Smith normal form over
-arbitrary-precision integers, so results are exact; matrices are stored as
-numpy arrays but reduced in plain Python to avoid fixed-width overflow.
+arbitrary-precision integers, so results are exact; matrices are plain
+lists of rows of Python ints, which cannot overflow.
 
 Bases are ordered lexicographically by cell label, making every matrix and
 report reproducible bit for bit.
@@ -18,21 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import PrecubicalSet
 
 
 class ChainComplex:
     """Ordered cell bases plus one integer boundary matrix per dimension.
 
-    matrix(n) has one column per n-cell and one row per (n-1)-cell, indices
-    following the lexicographic bases.
+    matrix(n) is a list of rows, one row per (n-1)-cell and one column per
+    n-cell, indices following the lexicographic bases.
     """
 
     def __init__(self, basis: dict, boundary: dict):
         self.basis = {d: tuple(b) for d, b in basis.items()}
-        self.boundary = {d: np.array(m, dtype=np.int64) for d, m in boundary.items()}
+        self.boundary = boundary
 
     @property
     def top_dim(self) -> int:
@@ -41,12 +39,11 @@ class ChainComplex:
     def rank_of_chains(self, n: int) -> int:
         return len(self.basis.get(n, ()))
 
-    def matrix(self, n: int) -> np.ndarray:
+    def matrix(self, n: int) -> list[list[int]]:
         if n in self.boundary:
             return self.boundary[n]
-        rows = self.rank_of_chains(n - 1)
         cols = self.rank_of_chains(n)
-        return np.zeros((rows, cols), dtype=np.int64)
+        return [[0] * cols for _ in range(self.rank_of_chains(n - 1))]
 
 
 def chain_complex(K: PrecubicalSet) -> ChainComplex:
@@ -55,12 +52,13 @@ def chain_complex(K: PrecubicalSet) -> ChainComplex:
     boundary = {}
     for d in range(1, K.top_dim + 1):
         index = {label: r for r, label in enumerate(basis[d - 1])}
-        matrix = np.zeros((len(basis[d - 1]), len(basis[d])), dtype=np.int64)
+        cols = len(basis[d])
+        matrix = [[0] * cols for _ in basis[d - 1]]
         for col, label in enumerate(basis[d]):
             for i in range(1, d + 1):
                 sign = -1 if i % 2 else 1
-                matrix[index[K.face_label(d, label, i, 1)], col] += sign
-                matrix[index[K.face_label(d, label, i, 0)], col] -= sign
+                matrix[index[K.face_label(d, label, i, 1)]][col] += sign
+                matrix[index[K.face_label(d, label, i, 0)]][col] -= sign
         boundary[d] = matrix
     return ChainComplex(basis, boundary)
 
@@ -68,11 +66,12 @@ def chain_complex(K: PrecubicalSet) -> ChainComplex:
 def smith_normal_form(matrix) -> tuple[int, ...]:
     """Invariant factors of an integer matrix (positive, each dividing the next).
 
-    Row and column operations over Z only; entries are Python ints, so
+    The matrix is any sequence of integer rows.  Row and column operations
+    over Z only; entries are converted to Python ints, so
     intermediate growth cannot overflow.  The number of factors returned is
     the rank.
     """
-    A = [[int(x) for x in row] for row in np.asarray(matrix)]
+    A = [[int(x) for x in row] for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
     factors = []

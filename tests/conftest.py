@@ -147,6 +147,18 @@ def flow_word_count(n: int) -> int:
     )
 
 
+def matmul(A, B) -> list:
+    """Product of two integer matrices given as lists of rows.  Rows must
+    have equal lengths and the inner dimensions must agree, as for numpy's @."""
+    assert len({len(row) for row in A}) <= 1 and len({len(row) for row in B}) <= 1
+    assert all(len(row) == len(B) for row in A), "inner dimensions differ"
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def is_zero(M) -> bool:
+    return not any(any(row) for row in M)
+
+
 def reference_text(K) -> str:
     """The canonical text by way of the json module's own encoder."""
     tree = {

@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
-from precubical import boundary_cube, parse, serialize, standard_cube
+from precubical import boundary_cube, parse, serialize, skeleton, standard_cube
+from precubical import cli
 from precubical.cli import main
+
+from conftest import reference_text
 
 
 @pytest.fixture()
@@ -187,3 +190,79 @@ class TestStdinAndProcess:
                      ["euler", square_doc], ["globular", square_doc]):
             _, out, _ = run(capsys, argv)
             assert out.endswith("\n")
+
+
+def _cell(cube, source, target):
+    return {"cube": cube, "dim": cube.count("*"), "globe_dim": cube.count("*") - 1,
+            "source": source, "target": target}
+
+
+SQUARE_REPORTS = [
+    (["validate"], {"valid": True, "violations": []}),
+    (["info"], {"top_dim": 2, "cells": {"0": 4, "1": 4, "2": 1}, "total": 9}),
+    (["homology"], [
+        {"dim": 0, "betti": 1, "torsion": []},
+        {"dim": 1, "betti": 0, "torsion": []},
+        {"dim": 2, "betti": 0, "torsion": []},
+    ]),
+    (["euler"], {"euler_characteristic": 1}),
+    (["states"], {"states": ["00", "01", "10", "11"]}),
+    (["paths", "--from", "00", "--to", "11"], {
+        "from": "00", "to": "11", "max_len": 4,
+        "classes": [{"length": 2, "representative": ["*0", "1*"], "size": 2}],
+    }),
+    (["order"], {
+        "loopless": True,
+        "states": ["00", "01", "10", "11"],
+        "pairs": [["00", "01"], ["00", "10"], ["00", "11"], ["01", "11"], ["10", "11"]],
+    }),
+    (["globular"], {
+        "vertices": ["00", "01", "10", "11"],
+        "cells": [
+            _cell("*0", "00", "10"), _cell("*1", "01", "11"),
+            _cell("0*", "00", "01"), _cell("1*", "10", "11"),
+            _cell("**", "00", "11"),
+        ],
+    }),
+]
+
+
+class TestReportBytes:
+    """Stdout is pinned byte for byte, not just as parsed JSON."""
+
+    @pytest.mark.parametrize("argv, expected", SQUARE_REPORTS,
+                             ids=[argv[0] for argv, _ in SQUARE_REPORTS])
+    def test_square_report(self, capsys, square_doc, argv, expected):
+        code, out, err = run(capsys, [argv[0], square_doc] + argv[1:])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_skeleton(self, capsys, square_doc):
+        code, out, _ = run(capsys, ["skeleton", square_doc, "--dim", "1"])
+        assert code == 0
+        assert out == reference_text(skeleton(standard_cube(2), 1))
+
+    def test_generate(self, capsys):
+        code, out, _ = run(capsys, ["generate", "cube", "2"])
+        assert code == 0
+        assert out == reference_text(standard_cube(2))
+
+
+class TestInternalErrors:
+    def test_key_error_is_not_a_usage_error(self, monkeypatch, square_doc):
+        def broken(K):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "euler_characteristic", broken)
+        with pytest.raises(KeyError):
+            main(["euler", square_doc])
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, precubical.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

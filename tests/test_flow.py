@@ -1,6 +1,8 @@
 """Flow realization: states, corners, staircases, path classes, state order."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -78,8 +80,48 @@ class TestRealizeFlow:
         assert len(flow.atoms) == expected
         for atom in flow.atoms:
             assert atom.source in flow.states and atom.target in flow.states
-            assert atom.source == corner(K, atom.cell, 0)
-            assert atom.target == corner(K, atom.cell, 1)
+            assert atom.source == corner(K, atom.cube, 0)
+            assert atom.target == corner(K, atom.cube, 1)
+
+
+# A 2-cell s whose fourth face e4 runs between the two vertices given on
+# the command line; with e4 from c to d the square is valid.
+BROKEN_SQUARE = """
+import sys
+from precubical import PrecubicalSet, enumerate_path_classes, validate
+
+ends = {"e1": ("a", "b"), "e2": ("b", "d"), "e3": ("a", "c"), "e4": tuple(sys.argv[1:3])}
+faces = {(1, 1, alpha, e): ends[e][alpha] for e in ends for alpha in (0, 1)}
+faces.update({(2, 2, 0, "s"): "e1", (2, 1, 1, "s"): "e2",
+              (2, 1, 0, "s"): "e3", (2, 2, 1, "s"): "e4"})
+K = PrecubicalSet({0: list("abcdxy"), 1: sorted(ends), 2: ["s"]}, faces)
+if len(validate(K)) != 1:
+    sys.exit("expected exactly one violation")
+try:
+    enumerate_path_classes(K, "a", "d", 2)
+except ValueError as exc:
+    print(f"ValueError: {exc}")
+"""
+
+
+class TestBrokenSquare:
+    """A square whose boundary composites disagree at a vertex gets a named
+    error, also under python -O, which strips assert statements."""
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    @pytest.mark.parametrize("e4, message", [
+        (("c", "x"), "square 's': boundary composites ('e1', 'e2') and "
+                     "('e3', 'e4') do not share their endpoints"),
+        (("y", "d"), "square moves lead from ('e1', 'e2') out of the edge "
+                     "paths from 'a' to 'd'"),
+    ], ids=["outer-end", "middle"])
+    def test_value_error(self, flags, e4, message):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", BROKEN_SQUARE, *e4],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"ValueError: {message}\n"
 
 
 class TestStaircase:

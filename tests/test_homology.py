@@ -20,7 +20,7 @@ from precubical import (
     torus,
 )
 
-from conftest import random_glued_complex
+from conftest import is_zero, matmul, random_glued_complex
 
 
 def oracle_invariant_factors(matrix) -> tuple:
@@ -50,35 +50,36 @@ class TestChainComplex:
     def test_edge_boundary_column(self):
         complex_ = chain_complex(standard_cube(1))
         assert complex_.basis[0] == ("0", "1")
-        assert complex_.matrix(1).tolist() == [[1], [-1]]
+        assert complex_.matrix(1) == [[1], [-1]]
 
     def test_point_is_concentrated_in_degree_zero(self):
         complex_ = chain_complex(standard_cube(0))
         assert complex_.top_dim == 0
-        assert complex_.matrix(1).shape == (1, 0)
+        matrix = complex_.matrix(1)
+        assert (len(matrix), len(matrix[0])) == (1, 0)
 
     def test_square_composite_vanishes(self):
         complex_ = chain_complex(standard_cube(2))
-        product = complex_.matrix(1) @ complex_.matrix(2)
-        assert not product.any()
+        product = matmul(complex_.matrix(1), complex_.matrix(2))
+        assert is_zero(product)
 
     def test_boundary_squared_is_zero_on_corpus(self, corpus_complex):
         _, K = corpus_complex
         complex_ = chain_complex(K)
         for d in range(1, complex_.top_dim + 1):
-            product = complex_.matrix(d) @ complex_.matrix(d + 1)
-            assert not product.any()
+            product = matmul(complex_.matrix(d), complex_.matrix(d + 1))
+            assert is_zero(product)
 
     def test_boundary_squared_is_zero_on_random_gluings(self):
         rng = random.Random(771)
         for _ in range(30):
             complex_ = chain_complex(random_glued_complex(rng))
             for d in range(1, complex_.top_dim + 1):
-                assert not (complex_.matrix(d) @ complex_.matrix(d + 1)).any()
+                assert is_zero(matmul(complex_.matrix(d), complex_.matrix(d + 1)))
 
     def test_circle_loop_has_zero_boundary(self):
         complex_ = chain_complex(circle())
-        assert complex_.matrix(1).tolist() == [[0]]
+        assert complex_.matrix(1) == [[0]]
 
 
 class TestSmithNormalForm:
