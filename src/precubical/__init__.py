@@ -10,7 +10,6 @@ and a command-line driver.
 
 from .core import (
     CellId,
-    CubeDiagram,
     CubeWord,
     PcsMap,
     PrecubicalSet,
@@ -30,9 +29,7 @@ from .core import (
     validate,
 )
 from .flow import (
-    CombFlow,
     EdgePath,
-    FlowAtom,
     LoopReport,
     PathClass,
     StatePoset,
@@ -42,7 +39,6 @@ from .flow import (
     enumerate_path_classes,
     map_path,
     path_equal,
-    realize_flow,
     realize_states,
     staircase,
     state_order,
@@ -56,6 +52,7 @@ from .homology import (
     smith_normal_form,
 )
 from .globular import (
+    FlowAtom,
     GlobularDecomposition,
     decomposition_report,
     globular_decomposition,
@@ -74,17 +71,16 @@ from .document import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellId", "CubeDiagram", "CubeWord", "PcsMap", "PrecubicalSet", "Violation",
+    "CellId", "CubeWord", "PcsMap", "PrecubicalSet", "Violation",
     "apply_cube_map", "boundary_cube", "cube_category", "cube_words",
     "disjoint_union", "empty_map", "find_isomorphism", "isomorphic", "pushout",
     "skeleton", "standard_cube", "tensor", "validate",
-    "CombFlow", "EdgePath", "FlowAtom", "LoopReport", "PathClass", "StatePoset",
+    "EdgePath", "LoopReport", "PathClass", "StatePoset",
     "corner", "count_flow_morphisms", "edge_path", "enumerate_path_classes",
-    "map_path", "path_equal", "realize_flow", "realize_states", "staircase",
-    "state_order",
+    "map_path", "path_equal", "realize_states", "staircase", "state_order",
     "ChainComplex", "HomologyResult", "chain_complex", "euler_characteristic",
     "homology", "smith_normal_form",
-    "GlobularDecomposition", "decomposition_report",
+    "FlowAtom", "GlobularDecomposition", "decomposition_report",
     "globular_decomposition",
     "FormatError", "circle", "cylinder", "generate", "interval",
     "parse", "serialize", "torus",

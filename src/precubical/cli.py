@@ -20,10 +20,11 @@ from .globular import globular_decomposition
 from .homology import euler_characteristic, homology
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> bytes:
+    # parse decodes the bytes, so text that is not UTF-8 is a bad document
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as handle:
         return handle.read()
 
 

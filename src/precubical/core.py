@@ -305,36 +305,27 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     return report
 
 
-def cube_words(n: int, stars: int | None = None):
-    """All length-n words over {0, 1, *}, optionally with a fixed star count."""
+def cube_words(n: int):
+    """All length-n words over {0, 1, *}, in lexicographic order of 0 < 1 < *."""
     for letters in itertools.product(LETTERS, repeat=n):
-        word = "".join(letters)
-        if stars is None or word.count(STAR) == stars:
-            yield word
-
-
-def _set_star(word: str, i: int, alpha: int) -> str:
-    # replace the i-th star (1-based, left to right) with the letter alpha
-    seen = 0
-    for pos, ch in enumerate(word):
-        if ch == STAR:
-            seen += 1
-            if seen == i:
-                return word[:pos] + str(alpha) + word[pos + 1 :]
-    raise ValueError(f"word {word!r} has fewer than {i} stars")
+        yield "".join(letters)
 
 
 def standard_cube(n: int) -> PrecubicalSet:
     """The standard n-cube: k-cells are the length-n words with k stars."""
     if n < 0:
         raise ValueError("dimension must be non-negative")
-    cells = {k: list(cube_words(n, stars=k)) for k in range(n + 1)}
+    cells: dict[int, list[str]] = {k: [] for k in range(n + 1)}
     faces = {}
-    for k in range(1, n + 1):
-        for word in cells[k]:
-            for i in range(1, k + 1):
-                for alpha in (0, 1):
-                    faces[(k, i, alpha, word)] = _set_star(word, i, alpha)
+    for word in cube_words(n):
+        stars = [pos for pos, ch in enumerate(word) if ch == STAR]
+        k = len(stars)
+        cells[k].append(word)
+        # the (i, alpha) face replaces the i-th star, left to right, with alpha
+        for i, pos in enumerate(stars, 1):
+            head, tail = word[:pos], word[pos + 1 :]
+            faces[(k, i, 0, word)] = head + "0" + tail
+            faces[(k, i, 1, word)] = head + "1" + tail
     return PrecubicalSet(cells, faces)
 
 
@@ -381,33 +372,19 @@ def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
         letters = letters[:pos] + letters[pos + 1 :]
 
 
-@dataclass(frozen=True)
-class CubeDiagram:
-    """The category of cubes of K: one object per cell, arrows the cube-category
-    words acting between them.
+def cube_category(K: PrecubicalSet) -> tuple[tuple[CellId, CellId, CubeWord], ...]:
+    """The category of cubes of a finite valid K, as its sorted arrows.
 
-    An arrow (source, target, w) satisfies apply_cube_map(K, target, w) == source;
-    identities are the all-stars words.  Arrows compose by word substitution.
+    The objects are the cells of K.  An arrow (source, target, w) satisfies
+    apply_cube_map(K, target, w) == source; the identities are the arrows
+    whose word is_identity, and arrows compose by word substitution.
     """
-
-    objects: tuple[CellId, ...]
-    arrows: tuple[tuple[CellId, CellId, CubeWord], ...]
-
-    @property
-    def non_identity_arrows(self) -> tuple[tuple[CellId, CellId, CubeWord], ...]:
-        return tuple(a for a in self.arrows if not a[2].is_identity)
-
-
-def cube_category(K: PrecubicalSet) -> CubeDiagram:
-    """Enumerate the category of cubes of a finite valid K."""
-    objects = tuple(K.all_cells())
-    arrows = []
-    for target in objects:
-        for word in cube_words(target.dim):
-            source = apply_cube_map(K, target, word)
-            arrows.append((source, target, CubeWord(word)))
-    arrows.sort(key=lambda a: (a[0].dim, a[0].label, a[1].dim, a[1].label, a[2].letters))
-    return CubeDiagram(objects, tuple(arrows))
+    arrows = [
+        (apply_cube_map(K, target, word), target, CubeWord(word))
+        for target in K.all_cells()
+        for word in cube_words(target.dim)
+    ]
+    return tuple(sorted(arrows, key=lambda a: (a[0], a[1], a[2].letters)))
 
 
 class PcsMap:
@@ -575,9 +552,10 @@ def find_isomorphism(K: PrecubicalSet, L: PrecubicalSet):
     """Search for an isomorphism K -> L; returns a (dim, label) -> label map
     or None.
 
-    Backtracking over cells in decreasing dimension: choosing an image for a
-    cell forces the images of all its iterated faces, so complexes whose
-    cells hang together are matched almost without search.
+    Backtracking over cells in decreasing dimension, without recursion:
+    choosing an image for a cell forces the images of all its iterated
+    faces, so complexes whose cells hang together are matched almost
+    without search.
     """
     if K.cell_counts() != L.cell_counts():
         return None
@@ -611,24 +589,40 @@ def find_isomorphism(K: PrecubicalSet, L: PrecubicalSet):
                         stack.append((CellId(c.dim - 1, kf), lf))
         return True
 
-    def backtrack(index: int) -> bool:
-        if index == len(order):
-            return True
+    def undo(trail: list):
+        while trail:
+            key = trail.pop()
+            used[key[0]].discard(assignment.pop(key))
+
+    # depth-first search over an explicit stack of (index, candidates, trail)
+    # frames, one per cell whose image is chosen rather than forced; a frame
+    # met again after a dead end undoes its last choice and tries the next
+    stack: list = []
+    index = 0
+    while index < len(order):
         cell = order[index]
         if (cell.dim, cell.label) in assignment:
-            return backtrack(index + 1)
-        for candidate in L.cells(cell.dim):
-            if candidate in used.setdefault(cell.dim, set()):
+            index += 1
+            continue
+        stack.append((index, iter(L.cells(cell.dim)), []))
+        while stack:
+            index, candidates, trail = stack[-1]
+            cell = order[index]
+            undo(trail)
+            for candidate in candidates:
+                if candidate in used.setdefault(cell.dim, set()):
+                    continue
+                if propagate(cell, candidate, trail):
+                    break
+                undo(trail)
+            else:
+                stack.pop()
                 continue
-            trail: list = []
-            if propagate(cell, candidate, trail) and backtrack(index + 1):
-                return True
-            for key in trail:
-                used[key[0]].discard(assignment.pop(key))
-        return False
+            break
+        else:
+            return None
+        index += 1
 
-    if not backtrack(0):
-        return None
     iso = PcsMap(K, L, assignment)
     # propagation guarantees this, but the check is cheap insurance
     if iso.defects():

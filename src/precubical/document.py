@@ -29,6 +29,7 @@ So serialize(parse(serialize(K))) is byte-identical to serialize(K).
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .core import PrecubicalSet, standard_cube, boundary_cube, tensor, validate
 
@@ -88,19 +89,34 @@ def serialize(K: PrecubicalSet) -> str:
 _FACE_KEYS = frozenset({"dim", "i", "alpha", "cell", "value"})
 
 
+def _object(pairs: list) -> dict:
+    # json.loads would keep the last of two equal keys and drop the other
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise FormatError(f"repeated key in a JSON object: {key!r}")
+    return obj
+
+
 def parse(data, check: bool = True) -> PrecubicalSet:
     """Read a document back into a precubical set.
 
     With check=True (the default) the result must validate; violations are
     rejected with a FormatError listing them.  check=False returns the raw
-    structure so callers can report violations themselves.
+    structure so callers can report violations themselves.  Every rejected
+    document, from bytes that are not UTF-8 to a violated axiom, raises
+    FormatError.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        tree = json.loads(data)
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        tree = json.loads(data, object_pairs_hook=_object)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"syntax error at position {exc.pos}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError("document nests arrays or objects too deeply") from exc
 
     # each check builds its message only when it fails
     if not isinstance(tree, dict):

@@ -13,7 +13,9 @@ source and target, so every equivalence class of paths is finite and path
 equality is decidable by saturation.
 
 States and morphisms are referred to by cell label throughout: a state is
-a 0-cell label and a path step is a 1-cell label.
+a 0-cell label and a path step is a 1-cell label.  The generating
+morphisms themselves, with their corners, are the cells of
+globular.globular_decomposition.
 """
 
 from __future__ import annotations
@@ -33,41 +35,6 @@ class EdgePath:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-
-@dataclass(frozen=True)
-class FlowAtom:
-    """The generating morphism diag(c) of one positive-dimensional cube c.
-
-    It runs from the cube's all-zeros corner to its all-ones corner, and in
-    the globular decomposition it is the globe of dimension dim(c) - 1
-    attached between those two vertices.
-    """
-
-    cube: CellId
-    source: str
-    target: str
-
-    @property
-    def globe_dim(self) -> int:
-        return self.cube.dim - 1
-
-    def as_dict(self) -> dict:
-        return {
-            "cube": self.cube.label,
-            "dim": self.cube.dim,
-            "globe_dim": self.globe_dim,
-            "source": self.source,
-            "target": self.target,
-        }
-
-
-@dataclass(frozen=True)
-class CombFlow:
-    """The realized flow: states plus one atom per cell of dimension >= 1."""
-
-    states: tuple[str, ...]
-    atoms: tuple[FlowAtom, ...]
 
 
 @dataclass(frozen=True)
@@ -120,16 +87,6 @@ def corner(K: PrecubicalSet, c: CellId, alpha: int) -> str:
     while c.dim > 0:
         c = K.face(c, 1, alpha)
     return c.label
-
-
-def realize_flow(K: PrecubicalSet) -> CombFlow:
-    """States plus the diagonal atom of every positive-dimensional cell."""
-    atoms = tuple(
-        FlowAtom(c, corner(K, c, 0), corner(K, c, 1))
-        for c in K.all_cells()
-        if c.dim >= 1
-    )
-    return CombFlow(tuple(K.cells(0)), atoms)
 
 
 def staircase(K: PrecubicalSet, c: CellId) -> EdgePath:
@@ -243,9 +200,8 @@ def _outgoing(K: PrecubicalSet) -> dict:
     return outgoing
 
 
-def _paths_from(outgoing: dict, a: str, max_len: int) -> dict:
-    """All edge tuples out of a of length 1..max_len, grouped by target."""
-    by_target: dict[str, list[tuple[str, ...]]] = {}
+def _paths_from(outgoing: dict, a: str, max_len: int):
+    """Yield (target, path) for every edge tuple out of a of length 1..max_len."""
     stack = [(a, ())]
     while stack:
         at, prefix = stack.pop()
@@ -253,9 +209,8 @@ def _paths_from(outgoing: dict, a: str, max_len: int) -> dict:
             continue
         for e, tgt in outgoing.get(at, ()):
             path = prefix + (e,)
-            by_target.setdefault(tgt, []).append(path)
+            yield tgt, path
             stack.append((tgt, path))
-    return by_target
 
 
 def _classify(paths, swap: dict, a: str, b: str) -> tuple[PathClass, ...]:
@@ -295,7 +250,7 @@ def enumerate_path_classes(
             raise ValueError(f"unknown state: {state!r}")
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    paths = _paths_from(_outgoing(K), a, max_len).get(b, ())
+    paths = [path for tgt, path in _paths_from(_outgoing(K), a, max_len) if tgt == b]
     return _classify(paths, _square_moves(K), a, b)
 
 
@@ -312,11 +267,13 @@ def count_flow_morphisms(K: PrecubicalSet, max_len: int) -> int:
         return 0
     outgoing = _outgoing(K)
     swap = _square_moves(K)
-    return sum(
-        len(_classify(paths, swap, a, b))
-        for a in K.cells(0)
-        for b, paths in _paths_from(outgoing, a, max_len).items()
-    )
+    total = 0
+    for a in K.cells(0):
+        by_target: dict[str, list[tuple[str, ...]]] = {}
+        for b, path in _paths_from(outgoing, a, max_len):
+            by_target.setdefault(b, []).append(path)
+        total += sum(len(_classify(paths, swap, a, b)) for b, paths in by_target.items())
+    return total
 
 
 def state_order(K: PrecubicalSet):

@@ -1,9 +1,9 @@
-"""The small globular cell ledger of a precubical set.
+"""The realized flow of a precubical set, as its small globular cell ledger.
 
-The realized flow of K carries a globular decomposition with exactly one
-cell per cube of dimension n + 1 >= 1: a globe of dimension n attached
-between the cube's all-zeros and all-ones corner vertices.  Those cells
-are the flow's atoms (`FlowAtom`, from `realize_flow`), grouped here by
+The realized flow of K has the vertices K_0 as its states and one atom per
+cube of dimension n + 1 >= 1: the cube's diagonal, which is also a globe
+of dimension n attached between the cube's all-zeros and all-ones corner
+vertices.  globular_decomposition is that flow, its cells grouped by
 skeletal stage, stage n holding the cells of the n-cubes, so the boundary
 data of a stage only involves earlier stages.
 
@@ -16,18 +16,44 @@ fields are exported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
-from .core import PrecubicalSet
-from .flow import FlowAtom, realize_flow
+from .core import CellId, PrecubicalSet
+from .flow import corner
+
+
+@dataclass(frozen=True)
+class FlowAtom:
+    """The generating morphism diag(c) of one positive-dimensional cube c.
+
+    It runs from the cube's all-zeros corner to its all-ones corner, and in
+    the globular decomposition it is the globe of dimension dim(c) - 1
+    attached between those two vertices.
+    """
+
+    cube: CellId
+    source: str
+    target: str
+
+    @property
+    def globe_dim(self) -> int:
+        return self.cube.dim - 1
+
+    def as_dict(self) -> dict:
+        return {
+            "cube": self.cube.label,
+            "dim": self.cube.dim,
+            "globe_dim": self.globe_dim,
+            "source": self.source,
+            "target": self.target,
+        }
 
 
 @dataclass(frozen=True)
 class GlobularDecomposition:
-    """Vertex set plus globular cells grouped by skeletal stage.
+    """The realized flow: its states plus its atoms grouped by skeletal stage.
 
-    stages maps the cube dimension n >= 1 to the cells of the n-cubes;
-    there is exactly one cell per positive-dimensional cube of K.
+    stages maps each cube dimension n >= 1 that has cells to the atoms of
+    the n-cubes; there is exactly one atom per positive-dimensional cube of K.
     """
 
     vertices: tuple[str, ...]
@@ -48,14 +74,14 @@ class GlobularDecomposition:
 
 
 def globular_decomposition(K: PrecubicalSet) -> GlobularDecomposition:
-    """One globular cell per positive-dimensional cube, endpoints its corners."""
-    flow = realize_flow(K)
-    # atoms come in (dimension, label) order, so each stage is one run
-    stages = {
-        dim: tuple(atoms)
-        for dim, atoms in groupby(flow.atoms, key=lambda atom: atom.cube.dim)
-    }
-    return GlobularDecomposition(flow.states, stages)
+    """The realized flow of K: one atom per positive-dimensional cube,
+    running between its corners, one stage per dimension that has cells."""
+    stages: dict[int, tuple[FlowAtom, ...]] = {}
+    for dim in range(1, K.top_dim + 1):
+        cubes = [CellId(dim, label) for label in K.cells(dim)]
+        if cubes:
+            stages[dim] = tuple(FlowAtom(c, corner(K, c, 0), corner(K, c, 1)) for c in cubes)
+    return GlobularDecomposition(K.cells(0), stages)
 
 
 def decomposition_report(K: PrecubicalSet) -> dict:

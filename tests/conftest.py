@@ -52,6 +52,15 @@ def wedge_of_circles() -> PrecubicalSet:
     return pushout(f, g)
 
 
+def klein_bottle() -> PrecubicalSet:
+    """One vertex v, two loops a and b, and a square s glued along them by
+    d[1,0]s = d[2,1]s = a and d[1,1]s = d[2,0]s = b.  Its integer homology
+    is (Z, Z + Z/2, 0), the suite's one source of torsion."""
+    loops = {(1, 1, alpha, e): "v" for e in ("a", "b") for alpha in (0, 1)}
+    square = {(2, 1, 0, "s"): "a", (2, 2, 1, "s"): "a", (2, 1, 1, "s"): "b", (2, 2, 0, "s"): "b"}
+    return PrecubicalSet({0: ["v"], 1: ["a", "b"], 2: ["s"]}, {**loops, **square})
+
+
 def build_corpus() -> list:
     """Every named complex the suite quantifies over."""
     items = [

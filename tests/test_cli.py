@@ -161,6 +161,15 @@ class TestExitCodes:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("data", [b"[" * 100000, b"\xff\xfe"], ids=["nested", "not-utf8"])
+    def test_unreadable_document_exits_1(self, capsys, tmp_path, data):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["info", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: document ") and err.count("\n") == 1
+
 
 class TestStdinAndProcess:
     def test_stdin_dash(self, tmp_path):

@@ -324,31 +324,42 @@ class TestApplyCubeMap:
 
 
 class TestCubeCategory:
+    @staticmethod
+    def non_identity(arrows):
+        return [a for a in arrows if not a[2].is_identity]
+
     def test_edge(self):
-        diagram = cube_category(standard_cube(1))
-        assert len(diagram.objects) == 3
-        assert len(diagram.non_identity_arrows) == 2
+        K = standard_cube(1)
+        arrows = cube_category(K)
+        assert len(list(K.all_cells())) == 3
+        assert len(self.non_identity(arrows)) == 2
 
     def test_point(self):
-        diagram = cube_category(standard_cube(0))
-        assert len(diagram.objects) == 1
-        assert len(diagram.non_identity_arrows) == 0
+        K = standard_cube(0)
+        arrows = cube_category(K)
+        assert len(list(K.all_cells())) == 1
+        assert len(self.non_identity(arrows)) == 0
 
     def test_square(self):
-        diagram = cube_category(standard_cube(2))
-        assert len(diagram.objects) == 9
-        assert len(diagram.non_identity_arrows) == 16
+        K = standard_cube(2)
+        arrows = cube_category(K)
+        assert len(list(K.all_cells())) == 9
+        assert len(self.non_identity(arrows)) == 16
 
     def test_identities_present(self):
-        diagram = cube_category(standard_cube(2))
-        arrows = set(diagram.arrows)
-        for obj in diagram.objects:
+        K = standard_cube(2)
+        arrows = set(cube_category(K))
+        for obj in K.all_cells():
             assert (obj, obj, CubeWord.identity(obj.dim)) in arrows
+        # and the identities are exactly the all-stars arrows on each object
+        identities = [a for a in arrows if a[2].is_identity]
+        assert len(identities) == 9 and all(a[0] == a[1] for a in identities)
 
     def test_closed_under_composition(self):
         K = standard_cube(2)
-        diagram = cube_category(K)
-        arrows = set(diagram.arrows)
+        arrows = cube_category(K)
+        assert list(arrows) == sorted(arrows, key=lambda a: (a[0], a[1], a[2].letters))
+        arrows = set(arrows)
         for src_a, tgt_a, w_a in arrows:
             for src_b, tgt_b, w_b in arrows:
                 if tgt_a == src_b:
@@ -443,3 +454,35 @@ class TestIsomorphism:
         mapping = find_isomorphism(K, standard_cube(2))
         assert mapping is not None
         assert PcsMap(K, standard_cube(2), mapping).is_valid
+
+    @staticmethod
+    def two_edges(first, second):
+        ends = {"a": first, "b": second}
+        vertices = sorted({v for pair in ends.values() for v in pair})
+        faces = {(1, 1, alpha, e): ends[e][alpha] for e in ends for alpha in (0, 1)}
+        return PrecubicalSet({0: vertices, 1: ["a", "b"]}, faces)
+
+    def test_backtracks_out_of_a_wrong_first_choice(self):
+        # a -> a is tried first and only fails one cell later, at b
+        K = self.two_edges(("p", "q"), ("q", "r"))
+        L = self.two_edges(("y", "z"), ("x", "y"))
+        assert find_isomorphism(K, L) == {
+            (1, "a"): "b", (1, "b"): "a", (0, "p"): "x", (0, "q"): "y", (0, "r"): "z",
+        }
+
+    def test_exhausted_search_gives_none(self):
+        K = self.two_edges(("p", "q"), ("q", "r"))
+        L = self.two_edges(("x", "y"), ("x", "z"))
+        assert find_isomorphism(K, L) is None
+
+    def test_cube7_against_itself(self):
+        # 2,187 cells: one recursive call per cell overran the recursion limit
+        K = standard_cube(7)
+        assert find_isomorphism(K, standard_cube(7)) == {
+            (c.dim, c.label): c.label for c in K.all_cells()
+        }
+
+    def test_many_isolated_vertices_against_themselves(self):
+        # every vertex is a free choice, so the search is 3,000 levels deep
+        K = PrecubicalSet({0: [f"v{k}" for k in range(3000)]}, {})
+        assert find_isomorphism(K, K) == {(0, v): v for v in K.cells(0)}

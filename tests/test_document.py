@@ -341,6 +341,14 @@ MALFORMED = [
      "missing-face at dim 1 cell '*0' (i=1, alpha=1); missing-face at dim 1 cell '*1' (i=1, alpha=0); "
      "missing-face at dim 1 cell '*1' (i=1, alpha=1); missing-face at dim 1 cell '0*' (i=1, alpha=0) "
      "(and 7 more)"),
+    # documents that no JSON tree gives are written as text
+    ("repeated-dim-key", json.dumps(SQUARE_TREE).replace('"cells": {', '"cells": {"0": ["a"], ', 1),
+     "repeated key in a JSON object: '0'"),
+    ("repeated-face-field", json.dumps(SQUARE_TREE).replace('"cell": "*0"', '"cell": "*0", "cell": "*1"', 1),
+     "repeated key in a JSON object: 'cell'"),
+    ("nested-too-deep", "[" * 100000, "document nests arrays or objects too deeply"),
+    ("not-utf8", b"\xff\xfe",
+     "document is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ]
 
 
@@ -351,10 +359,14 @@ class TestMalformedMessages:
     @pytest.mark.parametrize("mutate, message", [m[1:] for m in MALFORMED],
                              ids=[m[0] for m in MALFORMED])
     def test_message(self, mutate, message):
-        tree = copy.deepcopy(SQUARE_TREE)
-        mutate(tree)
+        if isinstance(mutate, (str, bytes)):
+            document = mutate
+        else:
+            tree = copy.deepcopy(SQUARE_TREE)
+            mutate(tree)
+            document = json.dumps(tree)
         with pytest.raises(FormatError) as err:
-            parse(json.dumps(tree))
+            parse(document)
         assert str(err.value) == message
 
     def test_top_level_array(self):

@@ -17,9 +17,9 @@ from precubical import (
     count_flow_morphisms,
     edge_path,
     enumerate_path_classes,
+    globular_decomposition,
     map_path,
     path_equal,
-    realize_flow,
     realize_states,
     skeleton,
     staircase,
@@ -74,12 +74,12 @@ class TestCorner:
 class TestRealizeFlow:
     def test_one_atom_per_positive_cell(self, corpus_complex):
         _, K = corpus_complex
-        flow = realize_flow(K)
-        assert set(flow.states) == set(K.cells(0))
+        flow = globular_decomposition(K)
+        assert set(flow.vertices) == set(K.cells(0))
         expected = sum(K.n_cells(d) for d in range(1, K.top_dim + 1))
-        assert len(flow.atoms) == expected
-        for atom in flow.atoms:
-            assert atom.source in flow.states and atom.target in flow.states
+        assert len(flow.cells()) == expected
+        for atom in flow.cells():
+            assert atom.source in flow.vertices and atom.target in flow.vertices
             assert atom.source == corner(K, atom.cube, 0)
             assert atom.target == corner(K, atom.cube, 1)
 

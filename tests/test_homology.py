@@ -1,5 +1,6 @@
 """Chain complexes, Smith normal form, Betti numbers, Euler characteristics."""
 
+import math
 import random
 
 import numpy as np
@@ -18,9 +19,10 @@ from precubical import (
     standard_cube,
     tensor,
     torus,
+    validate,
 )
 
-from conftest import is_zero, matmul, random_glued_complex
+from conftest import is_zero, klein_bottle, matmul, random_glued_complex
 
 
 def oracle_invariant_factors(matrix) -> tuple:
@@ -166,6 +168,74 @@ class TestHomology:
             padded = base.betti + (0,) * (len(thick.betti) - len(base.betti))
             assert thick.betti == padded
             assert all(t == () for t in thick.torsion)
+
+
+def primary_parts(orders) -> list:
+    """The prime powers of a direct sum of cyclic groups Z/m, sorted."""
+    parts = []
+    for m in orders:
+        p = 2
+        while m > 1:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            if q > 1:
+                parts.append(q)
+            p += 1
+    return sorted(parts)
+
+
+def kunneth(HX, HY) -> list:
+    """Integer homology of a product by the Kunneth formula.
+
+    Each group is (rank, torsion orders).  Z/m (x) Z/n and Tor(Z/m, Z/n)
+    are both Z/gcd(m, n); Z (x) A is A, and Tor vanishes on free parts.
+    """
+    out = []
+    for n in range(len(HX) + len(HY) - 1):
+        rank, torsion = 0, []
+        for i, (rx, tx) in enumerate(HX):
+            if 0 <= n - i < len(HY):
+                ry, ty = HY[n - i]
+                rank += rx * ry
+                torsion += tx * ry + ty * rx + [math.gcd(a, b) for a in tx for b in ty]
+            if 0 <= n - 1 - i < len(HY):
+                torsion += [math.gcd(a, b) for a in tx for b in HY[n - 1 - i][1]]
+        out.append((rank, primary_parts(torsion)))
+    return out
+
+
+def groups(K) -> list:
+    result = homology(K)
+    return [(b, primary_parts(t)) for b, t in zip(result.betti, result.torsion)]
+
+
+KLEIN = [(1, []), (1, [2]), (0, [])]
+CIRCLE = [(1, []), (1, [])]
+
+
+class TestTorsion:
+    def test_klein_bottle(self):
+        K = klein_bottle()
+        assert validate(K) == []
+        result = homology(K)
+        assert result.betti == (1, 1, 0)
+        assert result.torsion == ((), (2,), ())
+
+    def test_oracle_by_hand(self):
+        assert kunneth(KLEIN, CIRCLE) == [(1, []), (2, [2]), (1, [2]), (0, [])]
+        assert kunneth(KLEIN, KLEIN) == [(1, []), (2, [2, 2]), (1, [2, 2, 2]), (0, [2]), (0, [])]
+
+    @pytest.mark.parametrize("factor, factor_groups", [(circle, CIRCLE), (klein_bottle, KLEIN)],
+                             ids=["circle", "klein"])
+    def test_products_match_kunneth(self, factor, factor_groups):
+        assert groups(tensor(klein_bottle(), factor())) == kunneth(KLEIN, factor_groups)
+
+    def test_tor_term_of_klein_squared(self):
+        # H_3 of K (x) K is Tor(H_1 K, H_1 K) = Tor(Z/2, Z/2) = Z/2 alone
+        result = homology(tensor(klein_bottle(), klein_bottle()))
+        assert result.betti[3] == 0 and result.torsion[3] == (2,)
 
 
 class TestEulerCharacteristic:
