@@ -10,13 +10,22 @@ numbers and torsion coefficients come from Smith normal form over
 arbitrary-precision integers, so results are exact; matrices are plain
 lists of rows of Python ints, which cannot overflow.
 
+The Smith normal form works in two stages.  A sparse pass eliminates
+pivots that divide their whole row and column (every +-1, and the +-2 of
+a Klein bottle), which splits the pivot off by unimodular row and column
+operations and so keeps the answer exact over Z; boundary matrices of
+cubical complexes are usually consumed by it entirely.  A dense pass
+finishes whatever block is left.
+
 Bases are ordered lexicographically by cell label, making every matrix and
 report reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .core import PrecubicalSet
 
@@ -47,7 +56,11 @@ class ChainComplex:
 
 
 def chain_complex(K: PrecubicalSet) -> ChainComplex:
-    """The cubical chain complex of a finite valid precubical set."""
+    """The cubical chain complex of a finite valid precubical set.
+
+    Raises ValueError naming the first cell found with a missing face
+    entry or one that points at an undeclared cell.
+    """
     basis = {d: K.cells(d) for d in range(K.top_dim + 1)}
     boundary = {}
     for d in range(1, K.top_dim + 1):
@@ -57,8 +70,16 @@ def chain_complex(K: PrecubicalSet) -> ChainComplex:
         for col, label in enumerate(basis[d]):
             for i in range(1, d + 1):
                 sign = -1 if i % 2 else 1
-                matrix[index[K.face_label(d, label, i, 1)]][col] += sign
-                matrix[index[K.face_label(d, label, i, 0)]][col] -= sign
+                for alpha in (1, 0):
+                    face = K.face_label(d, label, i, alpha)
+                    row = index.get(face)
+                    if row is None:
+                        problem = ("is missing" if face is None
+                                   else f"points at undeclared cell {face!r}")
+                        raise ValueError(
+                            f"cell ({d}, {label!r}): face d[{i},{alpha}] {problem}"
+                        )
+                    matrix[row][col] += sign if alpha else -sign
         boundary[d] = matrix
     return ChainComplex(basis, boundary)
 
@@ -66,12 +87,114 @@ def chain_complex(K: PrecubicalSet) -> ChainComplex:
 def smith_normal_form(matrix) -> tuple[int, ...]:
     """Invariant factors of an integer matrix (positive, each dividing the next).
 
-    The matrix is any sequence of integer rows.  Row and column operations
-    over Z only; entries are converted to Python ints, so
-    intermediate growth cannot overflow.  The number of factors returned is
-    the rank.
+    The matrix is any sequence of integer rows; the number of factors
+    returned is its rank.  Entries are converted to Python ints, so
+    intermediate growth cannot overflow.
+
+    Two stages.  The sparse pass copies the nonzero entries into row
+    dicts and column row-sets and repeatedly takes a pivot p that divides
+    every entry of its row and its column (a +-1 always does).  Row
+    operations that subtract multiples of the pivot row clear its column
+    and, since p divides the row, column operations would clear the row
+    without touching anything else, so the matrix is equivalent over Z to
+    diag(p) plus the block left when the pivot's row and column are
+    dropped: both kinds of operation are unimodular, and the pass is
+    exact.  Whatever no such pivot reaches goes to the dense pass, which
+    searches the leftover block for its smallest entry each round.  The
+    unit pivots give leading 1s; the other pivots and the leftover block's
+    factors are merged into divisibility order by gcd and lcm.
     """
-    A = [[int(x) for x in row] for row in matrix]
+    # compress picks out the nonzero entries without a Python-level test each
+    rows = [{c: int(row[c]) for c in compress(count(), row)} for row in matrix]
+    pivots = _clear_divisible_pivots(rows)
+    factors = [p for p in pivots if p > 1]
+    units = len(pivots) - len(factors)
+    live = [row for row in rows if row]
+    if live:
+        cols = sorted({c for row in live for c in row})
+        factors += _dense_factors([[row.get(c, 0) for c in cols] for row in live])
+    return (1,) * units + _diagonal_factors(factors)
+
+
+def _clear_divisible_pivots(rows: list[dict]) -> list[int]:
+    """Eliminate divisible pivots from sparse rows in place; their |values|.
+
+    Sweeps the columns until a whole sweep finds no pivot, so the search
+    never rescans the matrix for a single pivot.  In each column the pivot
+    is an entry of least absolute value that divides its column and its
+    row, from the row with the fewest entries, which keeps fill-in low.
+    What is left in rows is the leftover block.
+    """
+    cols: dict[int, set] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    pivots = []
+    found = True
+    while found:
+        found = False
+        for c in list(cols):
+            col = cols.get(c)
+            if col is None:
+                continue
+            size = min(abs(rows[r][c]) for r in col)
+            if size > 1 and any(rows[r][c] % size for r in col):
+                continue
+            pivot = None
+            for r in col:
+                row = rows[r]
+                if (abs(row[c]) == size and (pivot is None or len(row) < len(rows[pivot]))
+                        and (size == 1 or all(v % size == 0 for v in row.values()))):
+                    pivot = r
+            if pivot is None:
+                continue
+            prow = rows[pivot]
+            p = prow[c]
+            for r in col - {pivot}:
+                row = rows[r]
+                q = row[c] // p
+                for j, v in prow.items():
+                    w = row.get(j, 0) - q * v
+                    if w:
+                        if j not in row:
+                            cols[j].add(r)
+                        row[j] = w
+                    else:
+                        del row[j]
+                        cols[j].discard(r)
+            for j in prow:
+                members = cols[j]
+                members.discard(pivot)
+                if not members:
+                    del cols[j]
+            rows[pivot] = {}
+            pivots.append(abs(p))
+            found = True
+    return pivots
+
+
+def _diagonal_factors(entries: list[int]) -> tuple[int, ...]:
+    """Invariant factors of a diagonal matrix with these positive entries.
+
+    diag(a, b) is equivalent to diag(gcd, lcm); after pairing entry i with
+    every later one it is the gcd of them all, and the later ones stay its
+    multiples, so the result is a divisibility chain.
+    """
+    d = sorted(entries)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
+
+
+def _dense_factors(A: list[list[int]]) -> list[int]:
+    """Invariant factors of a dense matrix of Python ints, modified in place.
+
+    Each round moves the smallest nonzero entry of the remaining block to
+    the corner and reduces its row and column by it, until it divides
+    them and the rest of the block.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     factors = []
@@ -127,7 +250,7 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
             continue
         factors.append(d)
         t += 1
-    return tuple(factors)
+    return factors
 
 
 @dataclass(frozen=True)

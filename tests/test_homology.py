@@ -9,6 +9,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from precubical import (
+    PrecubicalSet,
     boundary_cube,
     chain_complex,
     circle,
@@ -83,6 +84,20 @@ class TestChainComplex:
         complex_ = chain_complex(circle())
         assert complex_.matrix(1) == [[0]]
 
+    def test_missing_face_is_named(self):
+        K = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "a"})
+        with pytest.raises(ValueError, match=r"^cell \(1, 'e'\): face d\[1,1\] is missing$"):
+            chain_complex(K)
+        with pytest.raises(ValueError, match=r"d\[1,1\] is missing"):
+            homology(K)
+
+    def test_dangling_face_is_named(self):
+        K = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "z", (1, 1, 1, "e"): "a"})
+        with pytest.raises(
+            ValueError, match=r"^cell \(1, 'e'\): face d\[1,0\] points at undeclared cell 'z'$"
+        ):
+            chain_complex(K)
+
 
 class TestSmithNormalForm:
     def test_frozen_cases(self):
@@ -90,6 +105,13 @@ class TestSmithNormalForm:
         assert smith_normal_form([[2]]) == (2,)
         assert smith_normal_form([[0, 0], [0, 0]]) == ()
         assert smith_normal_form([[1, 0], [0, 2]]) == (1, 2)
+        # one case per stage: unit pivots only; the Klein bottle's square, a
+        # divisible non-unit pivot; no divisible pivot, so all of it is the
+        # leftover block; non-unit pivots merged by gcd and lcm
+        assert smith_normal_form([[1, 1], [0, 1]]) == (1, 1)
+        assert smith_normal_form([[2], [-2]]) == (2,)
+        assert smith_normal_form([[2, 3], [3, 2]]) == (1, 5)
+        assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
         # gcd and lcm of coprime-free diagonal entries
         assert smith_normal_form([[4, 0], [0, 6]]) == (2, 12)
 
@@ -110,6 +132,18 @@ class TestSmithNormalForm:
             matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
             assert smith_normal_form(matrix) == oracle_invariant_factors(matrix)
 
+    def test_sparse_against_sympy(self):
+        # boundary-shaped: few nonzeros per column, small entries, so both
+        # the sparse pass and the leftover block see work
+        rng = random.Random(43)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 15), rng.randint(1, 15)
+            matrix = [[0] * cols for _ in range(rows)]
+            for c in range(cols):
+                for r in rng.sample(range(rows), min(rows, rng.randint(0, 3))):
+                    matrix[r][c] = rng.choice((1, -1, 2, -2, 3, -3))
+            assert smith_normal_form(matrix) == oracle_invariant_factors(matrix)
+
     def test_empty_shapes(self):
         assert smith_normal_form(np.zeros((0, 3), dtype=np.int64)) == ()
         assert smith_normal_form(np.zeros((3, 0), dtype=np.int64)) == ()
@@ -126,13 +160,14 @@ class TestHomology:
         assert result.betti == (1, 0, 0, 1)
         assert all(t == () for t in result.torsion)
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_boundary_cubes_are_spheres(self, n):
         result = homology(boundary_cube(n + 1))
         expected = [0] * (n + 1)
         expected[0] += 1
         expected[n] += 1
         assert list(result.betti) == expected
+        assert all(t == () for t in result.torsion)
 
     @pytest.mark.parametrize("n", range(6))
     def test_cubes_are_contractible(self, n):
@@ -213,6 +248,7 @@ def groups(K) -> list:
 
 KLEIN = [(1, []), (1, [2]), (0, [])]
 CIRCLE = [(1, []), (1, [])]
+SPHERE3 = [(1, []), (0, []), (0, []), (1, [])]
 
 
 class TestTorsion:
@@ -227,10 +263,17 @@ class TestTorsion:
         assert kunneth(KLEIN, CIRCLE) == [(1, []), (2, [2]), (1, [2]), (0, [])]
         assert kunneth(KLEIN, KLEIN) == [(1, []), (2, [2, 2]), (1, [2, 2, 2]), (0, [2]), (0, [])]
 
-    @pytest.mark.parametrize("factor, factor_groups", [(circle, CIRCLE), (klein_bottle, KLEIN)],
-                             ids=["circle", "klein"])
+    @pytest.mark.parametrize("factor, factor_groups", [
+        (circle, CIRCLE), (klein_bottle, KLEIN), (lambda: boundary_cube(4), SPHERE3),
+    ], ids=["circle", "klein", "sphere3"])
     def test_products_match_kunneth(self, factor, factor_groups):
         assert groups(tensor(klein_bottle(), factor())) == kunneth(KLEIN, factor_groups)
+
+    def test_fourth_power_matches_kunneth(self):
+        K, H = klein_bottle(), KLEIN
+        for _ in range(3):
+            K, H = tensor(K, klein_bottle()), kunneth(H, KLEIN)
+        assert groups(K) == H
 
     def test_tor_term_of_klein_squared(self):
         # H_3 of K (x) K is Tor(H_1 K, H_1 K) = Tor(Z/2, Z/2) = Z/2 alone
