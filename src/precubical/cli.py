@@ -56,7 +56,7 @@ def _paths(K: PrecubicalSet, args) -> dict:
             {
                 "length": c.length,
                 "representative": list(c.representative),
-                "size": len(c.members),
+                "size": c.size,
             }
             for c in classes
         ],

@@ -8,9 +8,22 @@ two boundary composites
 
     d[2,0]s then d[1,1]s      and      d[1,0]s then d[2,1]s
 
-are equal, both being the diagonal of s.  Square moves preserve length,
-source and target, so every equivalence class of paths is finite and path
-equality is decidable by saturation.
+are equal, both being the diagonal of s.
+
+Square moves rewrite two adjacent edges and keep length, source and
+target, so path equivalence is a congruence for concatenation.  The
+classes are therefore computed level by level without listing a path: a
+class of length L is a pair (class C of length L-1, edge leaving the end
+of C), and the only identifications not already made inside C come from
+moves on the last two edges.  A square (x, y) <-> (x', y') whose first
+edges leave the end of a class D of length L-2 identifies the pair
+(class of D.x, y) with the pair (class of D.x', y').  Closing those
+identifications with one union-find per level gives exactly the classes
+of length L: a move inside the prefix keeps the pair, a move on the last
+two edges is one of the identifications, and the members of a pair are
+all equivalent because those of C are.  Each class comes with its size
+(the sum over its pairs) and its least member; the members themselves are
+expanded from the level tables only when asked for.
 
 States and morphisms are referred to by cell label throughout: a state is
 a 0-cell label and a path step is a 1-cell label.  The generating
@@ -20,9 +33,10 @@ globular.globular_decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .core import CellId, PrecubicalSet, apply_cube_map
+from .core import CellId, PrecubicalSet, _UnionFind, apply_cube_map
 
 
 @dataclass(frozen=True)
@@ -42,14 +56,26 @@ class PathClass:
     """An equivalence class of edge paths under square moves.
 
     All members share source, target and length; the representative is the
-    lexicographically least member.
+    lexicographically least member and size the number of members.  The
+    member set is built on first use, from the level tables of the class
+    pass that produced the class; a class built by hand without them knows
+    its members only when it has one.
     """
 
     representative: tuple[str, ...]
-    members: frozenset
     source: str
     target: str
     length: int
+    size: int
+    _pass: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def members(self) -> frozenset:
+        if self.size == 1:
+            return frozenset({self.representative})
+        if self._pass is None:
+            raise ValueError("the members of a hand-built class of size > 1 are unknown")
+        return self._pass.members(self.representative)
 
 
 @dataclass(frozen=True)
@@ -108,13 +134,19 @@ def staircase(K: PrecubicalSet, c: CellId) -> EdgePath:
 
 
 def _edge_ends(K: PrecubicalSet, label: str) -> tuple[str, str]:
+    """The source and target states of an edge; a missing or dangling
+    endpoint raises ValueError in chain_complex's wording."""
     if not K.has_cell(1, label):
         raise ValueError(f"not a 1-cell: {label!r}")
-    src = K.face_label(1, label, 1, 0)
-    tgt = K.face_label(1, label, 1, 1)
-    if src is None or tgt is None:
-        raise ValueError(f"edge {label!r} is missing a face entry")
-    return src, tgt
+    ends = []
+    for alpha in (0, 1):
+        state = K.face_label(1, label, 1, alpha)
+        if state is None or not K.has_cell(0, state):
+            problem = ("is missing" if state is None
+                       else f"points at undeclared cell {state!r}")
+            raise ValueError(f"cell (1, {label!r}): face d[1,{alpha}] {problem}")
+        ends.append(state)
+    return ends[0], ends[1]
 
 
 def edge_path(K: PrecubicalSet, edges) -> EdgePath:
@@ -135,107 +167,257 @@ def edge_path(K: PrecubicalSet, edges) -> EdgePath:
     return EdgePath(labels, source, cursor)
 
 
-def _square_moves(K: PrecubicalSet) -> dict:
-    """Map each swappable consecutive edge pair to its alternatives.
+@dataclass(frozen=True)
+class _Edges:
+    """The edge table of K, built once per call.
+
+    Edges are numbered in label order; src and tgt give their end states,
+    out the numbers of the edges leaving each state, in label order.
+    """
+
+    labels: tuple[str, ...]
+    number: dict
+    src: list
+    tgt: list
+    out: dict
+
+
+def _edge_table(K: PrecubicalSet) -> _Edges:
+    labels = K.cells(1)
+    out: dict[str, list[int]] = {state: [] for state in K.cells(0)}
+    face = K.face_label
+    src, tgt = [], []
+    for n, e in enumerate(labels):
+        s, t = face(1, e, 1, 0), face(1, e, 1, 1)
+        if s not in out or t not in out:
+            _edge_ends(K, e)  # raises the named error
+        src.append(s)
+        tgt.append(t)
+        out[s].append(n)
+    return _Edges(labels, {e: n for n, e in enumerate(labels)}, src, tgt, out)
+
+
+def _square_moves(K: PrecubicalSet, edges: _Edges) -> dict:
+    """Map each edge number x to the moves (y, x', y') that may replace x
+    then y by x' then y' inside a path.
 
     For a 2-cell s the pair (d[2,0]s, d[1,1]s) and the pair
-    (d[1,0]s, d[2,1]s) are the two boundary composites of s and may replace
-    one another inside any path.  A move must keep the path's endpoints, so
-    a square whose composites start or end at different vertices raises
-    ValueError.
+    (d[1,0]s, d[2,1]s) are the two boundary composites of s.  A move must
+    keep the path's endpoints, so a square whose composites start or end at
+    different vertices raises ValueError.  A composite that names a
+    non-edge never occurs in a path; as an alternative it is kept as None,
+    and the level pass raises if a path can reach it.
     """
-    swap: dict[tuple[str, str], set] = {}
+    moves: dict[int, list[tuple]] = {}
+    number, src, tgt = edges.number, edges.src, edges.tgt
+    face = K.face_label
     for s in K.cells(2):
-        low = (K.face_label(2, s, 2, 0), K.face_label(2, s, 1, 1))
-        high = (K.face_label(2, s, 1, 0), K.face_label(2, s, 2, 1))
-        if all(K.has_cell(1, e) for e in low + high) and (
-            _edge_ends(K, low[0])[0] != _edge_ends(K, high[0])[0]
-            or _edge_ends(K, low[1])[1] != _edge_ends(K, high[1])[1]
-        ):
+        low = (face(2, s, 2, 0), face(2, s, 1, 1))
+        high = (face(2, s, 1, 0), face(2, s, 2, 1))
+        x, y = number.get(low[0]), number.get(low[1])
+        x2, y2 = number.get(high[0]), number.get(high[1])
+        if None not in (x, y, x2, y2) and (src[x] != src[x2] or tgt[y] != tgt[y2]):
             raise ValueError(
                 f"square {s!r}: boundary composites {low!r} and {high!r} "
                 "do not share their endpoints"
             )
-        swap.setdefault(low, set()).add(high)
-        swap.setdefault(high, set()).add(low)
-    return swap
+        if x is not None and y is not None:
+            moves.setdefault(x, []).append((y, x2, y2))
+        if x2 is not None and y2 is not None:
+            moves.setdefault(x2, []).append((y2, x, y))
+    return moves
 
 
-def _saturate(start: tuple[str, ...], swap: dict) -> frozenset:
-    """All paths reachable from start by square moves, as edge tuples."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        path = frontier.pop()
-        for k in range(len(path) - 1):
-            for alt in swap.get((path[k], path[k + 1]), ()):
-                candidate = path[:k] + alt + path[k + 2 :]
-                if candidate not in seen:
-                    seen.add(candidate)
-                    frontier.append(candidate)
-    return frozenset(seen)
+def _distance_to(edges: _Edges, b: str, bound: int) -> list:
+    """For each edge, the fewest edges from its target to b, capped at
+    bound + 1 (unreachable within the bound)."""
+    into: dict[str, list[str]] = {}
+    for s, t in zip(edges.src, edges.tgt):
+        into.setdefault(t, []).append(s)
+    dist = {b: 0}
+    frontier = [b]
+    for d in range(1, bound + 1):
+        nxt = []
+        for t in frontier:
+            for s in into.get(t, ()):
+                if s not in dist:
+                    dist[s] = d
+                    nxt.append(s)
+        frontier = nxt
+    return [dist.get(t, bound + 1) for t in edges.tgt]
+
+
+class _Level:
+    """The path classes of one length.
+
+    Pair i is (class prefix[i] one level down, edge number edge[i]) and
+    belongs to class cls[i]; index maps prefix * (number of edges) + edge
+    back to the pair, and is kept only when moves need lookups.  end, size and rep describe each
+    class: its end state, its number of members and its least member.
+    """
+
+    __slots__ = ("prefix", "edge", "cls", "index", "end", "size", "rep", "_groups")
+
+    def __init__(self, prefix, edge, cls, index, end, size, rep):
+        self.prefix, self.edge, self.cls, self.index = prefix, edge, cls, index
+        self.end, self.size, self.rep = end, size, rep
+        self._groups = None
+
+    def pairs_of(self, k: int) -> list:
+        """The pair numbers of class k, grouped once on first use."""
+        if isinstance(self.cls, range):
+            return [k]
+        if self._groups is None:
+            groups = [[] for _ in self.end]
+            for i, c in enumerate(self.cls):
+                groups[c].append(i)
+            self._groups = groups
+        return self._groups[k]
+
+
+class _ClassPass:
+    """The classes of edge paths out of the seed states, one _Level per
+    length 0..max_len in levels; the classes it returns share it.
+
+    Level 0 holds one empty class per seed.  reach[e], when given, is the
+    distance from edge e's target to the goal; a pair whose last edge
+    cannot reach it within the remaining length is dropped, which is sound
+    because both sides of a move share their ends.  Pairs are scanned in
+    order of (prefix class, edge label), so classes are numbered by their
+    least member within each seed, and no set or dict order reaches them.
+    """
+
+    def __init__(self, edges: _Edges, moves: dict, seeds, max_len: int, reach=None):
+        self.edges = edges
+        seeds = list(seeds)
+        self.levels = [
+            _Level([], [], range(0), None, seeds, [1] * len(seeds), [()] * len(seeds))
+        ]
+        for length in range(1, max_len + 1):
+            if not self.levels[-1].end:
+                break  # no class left to extend: every longer level is empty
+            self._extend(moves, max_len - length, reach)
+
+    def _extend(self, moves: dict, slack: int, reach):
+        """Add the next level: list its pairs, identify them under the
+        moves, and number the classes."""
+        labels, tgt, out = self.edges.labels, self.edges.tgt, self.edges.out
+        prev = self.levels[-1]
+        prefix, edge = [], []
+        for c, state in enumerate(prev.end):
+            for e in out[state]:
+                if reach is None or reach[e] <= slack:
+                    prefix.append(c)
+                    edge.append(e)
+        width = len(labels)
+        index = ({c * width + e: i for i, (c, e) in enumerate(zip(prefix, edge))}
+                 if moves else None)
+        uf = self._identify(moves, index) if moves and len(self.levels) >= 2 else None
+
+        if uf is None:
+            cls = range(len(prefix))
+            end = [tgt[e] for e in edge]
+            size = [prev.size[c] for c in prefix]
+            rep = [prev.rep[c] + (labels[e],) for c, e in zip(prefix, edge)]
+        else:
+            # a class is numbered when its first, hence least, pair is met
+            cls, first = [], {}
+            end, size, rep = [], [], []
+            parent = uf.parent
+            for i, (c, e) in enumerate(zip(prefix, edge)):
+                k = first.setdefault(uf.find(i) if i in parent else i, len(first))
+                cls.append(k)
+                if k == len(end):
+                    end.append(tgt[e])
+                    size.append(prev.size[c])
+                    rep.append(prev.rep[c] + (labels[e],))
+                else:
+                    size[k] += prev.size[c]
+        self.levels.append(_Level(prefix, edge, cls, index, end, size, rep))
+
+    def _identify(self, moves: dict, index: dict):
+        """Union the new level's pairs (class of D.x, y) and (class of D.x',
+        y') for every move (x, y) <-> (x', y') leaving the end of a class D
+        two levels down; None when no move applies."""
+        edges = self.edges
+        width = len(edges.labels)
+        below, prev = self.levels[-2], self.levels[-1]
+        uf = None
+        for d, state in enumerate(below.end):
+            for x in edges.out[state]:
+                alts = moves.get(x)
+                px = prev.index.get(d * width + x) if alts else None
+                if px is None:
+                    continue
+                c = prev.cls[px]
+                for y, x2, y2 in alts:
+                    py = index.get(c * width + y)
+                    if py is None:
+                        continue
+                    other = None
+                    if x2 is not None and y2 is not None:
+                        px2 = prev.index.get(d * width + x2)
+                        if px2 is not None:
+                            other = index.get(prev.cls[px2] * width + y2)
+                    if other is None:
+                        rep = prev.rep[c] + (edges.labels[y],)
+                        raise ValueError(
+                            f"square moves lead from {rep!r} out of the edge paths "
+                            f"from {edges.src[edges.number[rep[0]]]!r} to {edges.tgt[y]!r}"
+                        )
+                    if (x, y) < (x2, y2):  # its reverse move makes the same union
+                        if uf is None:
+                            uf = _UnionFind()
+                        uf.union(py, other)
+        return uf
+
+    def class_of(self, path) -> int:
+        """The class number of an edge path out of the seed state, in the
+        level of its length; needs the lookups kept when moves exist."""
+        number, width = self.edges.number, len(self.edges.labels)
+        c = 0
+        for level, label in zip(self.levels[1:], path):
+            c = level.cls[level.index[c * width + number[label]]]
+        return c
+
+    def members(self, path) -> frozenset:
+        """Every path of the class of the given one, by walking the class's
+        pairs back down the levels with an explicit stack."""
+        labels, levels, length = self.edges.labels, self.levels, len(path)
+        out = []
+        buffer = [None] * length
+        stack = [(length, i) for i in levels[length].pairs_of(self.class_of(path))]
+        while stack:
+            j, i = stack.pop()
+            level = levels[j]
+            buffer[j - 1] = labels[level.edge[i]]
+            if j == 1:
+                out.append(tuple(buffer))
+            else:
+                stack.extend((j - 1, p) for p in levels[j - 1].pairs_of(level.prefix[i]))
+        return frozenset(out)
 
 
 def path_equal(K: PrecubicalSet, p, q) -> bool:
     """Decide whether two edge paths are equal in the realized flow.
 
-    True iff q is reachable from p by square moves.  Paths of different
-    length, source or target are never equal; malformed paths raise.
+    True iff q is reachable from p by square moves, decided by the class
+    pass out of p's source.  Paths of different length, source or target
+    are never equal; malformed paths raise.
     """
+    edges = _edge_table(K)
     p = edge_path(K, p)
     q = edge_path(K, q)
     if (p.source, p.target, len(p)) != (q.source, q.target, len(q)):
         return False
     if p.edges == q.edges:
         return True
-    return q.edges in _saturate(p.edges, _square_moves(K))
-
-
-def _outgoing(K: PrecubicalSet) -> dict:
-    """Map each state to the (edge, target) pairs of the edges leaving it."""
-    outgoing: dict[str, list[tuple[str, str]]] = {s: [] for s in K.cells(0)}
-    for e in K.cells(1):
-        src, tgt = _edge_ends(K, e)
-        outgoing.setdefault(src, []).append((e, tgt))
-    return outgoing
-
-
-def _paths_from(outgoing: dict, a: str, max_len: int):
-    """Yield (target, path) for every edge tuple out of a of length 1..max_len."""
-    stack = [(a, ())]
-    while stack:
-        at, prefix = stack.pop()
-        if len(prefix) >= max_len:
-            continue
-        for e, tgt in outgoing.get(at, ()):
-            path = prefix + (e,)
-            yield tgt, path
-            stack.append((tgt, path))
-
-
-def _classify(paths, swap: dict, a: str, b: str) -> tuple[PathClass, ...]:
-    """Split every path from a to b within a length bound into its classes.
-
-    Complete within the bound: square moves preserve length, so each class
-    is contained in the enumerated set.
-    """
-    paths = sorted(paths)
-    remaining = set(paths)
-    classes = []
-    # each unassigned path met in sorted order is the least member of its
-    # class, so it seeds the class and is its representative
-    for seed in paths:
-        if seed not in remaining:
-            continue
-        members = _saturate(seed, swap)
-        if not members <= remaining:
-            raise ValueError(
-                f"square moves lead from {seed!r} out of the edge paths "
-                f"from {a!r} to {b!r}"
-            )
-        remaining -= members
-        classes.append(PathClass(seed, members, a, b, len(seed)))
-    return tuple(sorted(classes, key=lambda c: (c.length, c.representative)))
+    moves = _square_moves(K, edges)
+    if not moves:
+        return False
+    n = len(p)
+    run = _ClassPass(edges, moves, [p.source], n, _distance_to(edges, p.target, n))
+    return run.class_of(p.edges) == run.class_of(q.edges)
 
 
 def enumerate_path_classes(
@@ -250,8 +432,15 @@ def enumerate_path_classes(
             raise ValueError(f"unknown state: {state!r}")
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    paths = [path for tgt, path in _paths_from(_outgoing(K), a, max_len) if tgt == b]
-    return _classify(paths, _square_moves(K), a, b)
+    edges = _edge_table(K)
+    run = _ClassPass(edges, _square_moves(K, edges), [a], max_len,
+                     _distance_to(edges, b, max_len))
+    return tuple(
+        PathClass(level.rep[k], a, b, length, level.size[k], run)
+        for length, level in enumerate(run.levels)
+        for k, state in enumerate(level.end)
+        if length and state == b
+    )
 
 
 def count_flow_morphisms(K: PrecubicalSet, max_len: int) -> int:
@@ -259,21 +448,15 @@ def count_flow_morphisms(K: PrecubicalSet, max_len: int) -> int:
 
     For loopless K with max_len at least the longest chain this is the full
     morphism count of the realized flow.  A zero bound admits no path at
-    all, so the count is 0.
+    all, so the count is 0.  One class pass runs from every state at once.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if max_len == 0:
         return 0
-    outgoing = _outgoing(K)
-    swap = _square_moves(K)
-    total = 0
-    for a in K.cells(0):
-        by_target: dict[str, list[tuple[str, ...]]] = {}
-        for b, path in _paths_from(outgoing, a, max_len):
-            by_target.setdefault(b, []).append(path)
-        total += sum(len(_classify(paths, swap, a, b)) for b, paths in by_target.items())
-    return total
+    edges = _edge_table(K)
+    run = _ClassPass(edges, _square_moves(K, edges), K.cells(0), max_len)
+    return sum(len(level.end) for level in run.levels[1:])
 
 
 def state_order(K: PrecubicalSet):
@@ -284,7 +467,8 @@ def state_order(K: PrecubicalSet):
     directed cycle of edges otherwise.
     """
     states = K.cells(0)
-    outgoing = _outgoing(K)
+    edges = _edge_table(K)
+    labels, tgt, out = edges.labels, edges.tgt, edges.out
 
     # iterative DFS; path_edges[k] is the edge that entered stack frame k+1,
     # so a back edge into a gray state closes a cycle along the stack
@@ -294,27 +478,27 @@ def state_order(K: PrecubicalSet):
         if color[root] != WHITE:
             continue
         color[root] = GRAY
-        stack = [(root, iter(outgoing[root]))]
+        stack = [(root, iter(out[root]))]
         path_edges: list[str] = []
         while stack:
             at, it = stack[-1]
-            step = next(it, None)
-            if step is None:
+            e = next(it, None)
+            if e is None:
                 color[at] = BLACK
                 stack.pop()
                 if path_edges:
                     path_edges.pop()
                 continue
-            e, tgt = step
-            if color[tgt] == GRAY:
-                j = next(k for k, (s, _) in enumerate(stack) if s == tgt)
-                cycle = tuple(path_edges[j:]) + (e,)
+            t = tgt[e]
+            if color[t] == GRAY:
+                j = next(k for k, (s, _) in enumerate(stack) if s == t)
+                cycle = tuple(path_edges[j:]) + (labels[e],)
                 loop_states = tuple(s for s, _ in stack[j:])
                 return LoopReport(cycle, loop_states)
-            if color[tgt] == WHITE:
-                color[tgt] = GRAY
-                path_edges.append(e)
-                stack.append((tgt, iter(outgoing[tgt])))
+            if color[t] == WHITE:
+                color[t] = GRAY
+                path_edges.append(labels[e])
+                stack.append((t, iter(out[t])))
 
     # acyclic: strict order = transitive closure of the edge relation
     pairs = set()
@@ -323,10 +507,11 @@ def state_order(K: PrecubicalSet):
         reached = set()
         while frontier:
             x = frontier.pop()
-            for _, tgt in outgoing[x]:
-                if tgt not in reached:
-                    reached.add(tgt)
-                    frontier.append(tgt)
+            for e in out[x]:
+                t = tgt[e]
+                if t not in reached:
+                    reached.add(t)
+                    frontier.append(t)
         pairs.update((a, b) for b in reached)
     return StatePoset(tuple(states), frozenset(pairs))
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library code paths they are
 checking: corners are recomputed over every admissible face order, the
-product order is built from vertex words directly, and flow morphism
-counts come from raw word enumeration.
+product order is built from vertex words directly, flow morphism counts
+come from raw word enumeration, and path classes come from listing every
+edge path and saturating it under square moves.
 """
 
 import itertools
@@ -153,6 +154,85 @@ def flow_word_count(n: int) -> int:
         1
         for word in itertools.product("01*", repeat=n)
         if "*" in word
+    )
+
+
+def _brute_tables(K: PrecubicalSet):
+    """The edges leaving each state, and each swappable consecutive edge
+    pair mapped to its alternatives, read straight off the face table."""
+    outgoing = {s: [] for s in K.cells(0)}
+    for e in K.cells(1):
+        src, tgt = _edge_ends(K, e)
+        outgoing[src].append((e, tgt))
+    swap = {}
+    for s in K.cells(2):
+        low = (K.face_label(2, s, 2, 0), K.face_label(2, s, 1, 1))
+        high = (K.face_label(2, s, 1, 0), K.face_label(2, s, 2, 1))
+        swap.setdefault(low, set()).add(high)
+        swap.setdefault(high, set()).add(low)
+    return outgoing, swap
+
+
+def _brute_paths(outgoing: dict, a: str, max_len: int):
+    """Yield (target, path) for every edge tuple out of a of length 1..max_len."""
+    stack = [(a, ())]
+    while stack:
+        at, prefix = stack.pop()
+        if len(prefix) >= max_len:
+            continue
+        for e, tgt in outgoing[at]:
+            path = prefix + (e,)
+            yield tgt, path
+            stack.append((tgt, path))
+
+
+def _saturate(start: tuple, swap: dict) -> frozenset:
+    """All paths reachable from start by square moves."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        path = frontier.pop()
+        for k in range(len(path) - 1):
+            for alt in swap.get((path[k], path[k + 1]), ()):
+                candidate = path[:k] + alt + path[k + 2:]
+                if candidate not in seen:
+                    seen.add(candidate)
+                    frontier.append(candidate)
+    return frozenset(seen)
+
+
+def _brute_classify(paths, swap: dict) -> list:
+    """Split a set of paths closed under square moves into its classes, as
+    (length, representative, members) sorted by length and representative."""
+    paths = sorted(paths)
+    remaining = set(paths)
+    classes = []
+    # each unassigned path met in sorted order is the least member of its class
+    for seed in paths:
+        if seed in remaining:
+            members = _saturate(seed, swap)
+            assert members <= remaining, "square moves left the enumerated paths"
+            remaining -= members
+            classes.append((len(seed), seed, members))
+    return sorted(classes, key=lambda c: c[:2])
+
+
+def brute_path_classes(K: PrecubicalSet, a: str, max_len: int) -> dict:
+    """Every target b reachable from a within max_len edges, mapped to the
+    classes of paths from a to b, by listing every path and saturating."""
+    outgoing, swap = _brute_tables(K)
+    by_target = {}
+    for b, path in _brute_paths(outgoing, a, max_len):
+        by_target.setdefault(b, []).append(path)
+    return {b: _brute_classify(paths, swap) for b, paths in by_target.items()}
+
+
+def brute_flow_count(K: PrecubicalSet, max_len: int) -> int:
+    """Number of path classes over all ordered state pairs, length <= max_len."""
+    return sum(
+        len(classes)
+        for a in K.cells(0)
+        for classes in brute_path_classes(K, a, max_len).values()
     )
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from precubical import boundary_cube, parse, serialize, skeleton, standard_cube
+from precubical import boundary_cube, parse, serialize, skeleton, standard_cube, torus
 from precubical import cli
 from precubical.cli import main
 
@@ -244,6 +244,29 @@ class TestReportBytes:
     def test_square_report(self, capsys, square_doc, argv, expected):
         code, out, err = run(capsys, [argv[0], square_doc] + argv[1:])
         assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("K, argv, max_len, classes", [
+        (standard_cube(3), ["--from", "000", "--to", "111"], 12,
+         [(3, ["*00", "1*0", "11*"], 6)]),
+        (torus(2), ["--from", "v|v", "--to", "v|v", "--max-len", "3"], 3, [
+            (1, ["loop|v"], 1), (1, ["v|loop"], 1),
+            (2, ["loop|v", "loop|v"], 1), (2, ["loop|v", "v|loop"], 2),
+            (2, ["v|loop", "v|loop"], 1),
+            (3, ["loop|v", "loop|v", "loop|v"], 1), (3, ["loop|v", "loop|v", "v|loop"], 3),
+            (3, ["loop|v", "v|loop", "v|loop"], 3), (3, ["v|loop", "v|loop", "v|loop"], 1),
+        ]),
+    ], ids=["cube3-corners", "torus2"])
+    def test_paths_report(self, capsys, tmp_path, K, argv, max_len, classes):
+        path = tmp_path / "complex.json"
+        path.write_text(serialize(K), encoding="utf-8")
+        code, out, err = run(capsys, ["paths", str(path)] + argv)
+        assert (code, err) == (0, "")
+        expected = {
+            "from": argv[1], "to": argv[3], "max_len": max_len,
+            "classes": [{"length": n, "representative": rep, "size": size}
+                        for n, rep, size in classes],
+        }
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_skeleton(self, capsys, square_doc):

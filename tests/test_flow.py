@@ -1,6 +1,9 @@
 """Flow realization: states, corners, staircases, path classes, state order."""
 
 import itertools
+import math
+import random
+import re
 import subprocess
 import sys
 
@@ -9,7 +12,9 @@ import pytest
 from precubical import (
     CellId,
     LoopReport,
+    PathClass,
     PcsMap,
+    PrecubicalSet,
     StatePoset,
     boundary_cube,
     circle,
@@ -20,15 +25,25 @@ from precubical import (
     globular_decomposition,
     map_path,
     path_equal,
+    pushout,
     realize_states,
     skeleton,
     staircase,
     standard_cube,
     state_order,
+    tensor,
     torus,
 )
 
-from conftest import corner_routes, flow_word_count, product_order_pairs
+from conftest import (
+    brute_flow_count,
+    brute_path_classes,
+    corner_routes,
+    flow_word_count,
+    klein_bottle,
+    product_order_pairs,
+    random_glued_complex,
+)
 
 
 class TestRealizeStates:
@@ -386,3 +401,218 @@ class TestNaturality:
         f = PcsMap(K, circle(), {(0, "0"): "v", (0, "1"): "v", (1, "*"): "loop"})
         assert f.is_valid
         assert {f.mapping[(0, v)] for v in K.cells(0)} <= set(circle().cells(0))
+
+
+def assert_classes_match_brute_force(K, max_len):
+    """The level pass and the path-listing oracle agree on every ordered
+    state pair: length, representative, size and members of each class."""
+    for a in K.cells(0):
+        expected = brute_path_classes(K, a, max_len)
+        for b in K.cells(0):
+            got = [
+                (c.source, c.target, c.length, c.representative, c.size, c.members)
+                for c in enumerate_path_classes(K, a, b, max_len)
+            ]
+            want = [(a, b, n, rep, len(m), m) for n, rep, m in expected.get(b, [])]
+            assert got == want, (a, b)
+
+
+class TestLevelPassAgainstBruteForce:
+    def test_corpus_pairs(self, corpus_complex):
+        _, K = corpus_complex
+        assert_classes_match_brute_force(K, min(K.n_cells(1), 5) or 1)
+
+    def test_klein_bottle(self):
+        assert_classes_match_brute_force(klein_bottle(), 5)
+
+    @pytest.mark.parametrize("name, K", [
+        ("cube3", standard_cube(3)), ("boundary4", boundary_cube(4)),
+        ("torus3", torus(3)), ("klein", klein_bottle()),
+    ])
+    def test_path_equal_matches_brute_force(self, name, K):
+        # a few members of every class between every pair of states: equal
+        # exactly when the oracle put them in one class
+        for a in K.cells(0):
+            for classes in brute_path_classes(K, a, 3).values():
+                tagged = [(k, p) for k, (_, _, members) in enumerate(classes)
+                          for p in sorted(members)[:3]]
+                for (k, p), (l, q) in itertools.product(tagged, repeat=2):
+                    if len(p) == len(q):
+                        assert path_equal(K, p, q) == (k == l), (p, q)
+
+    @pytest.mark.parametrize("block", range(10))
+    def test_random_gluings(self, block):
+        # 200 gluings in blocks of 20, each seed its own complex
+        for seed in range(20 * block, 20 * block + 20):
+            assert_classes_match_brute_force(random_glued_complex(random.Random(seed)), 4)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_cube_and_boundary_counts(self, n):
+        for K in (standard_cube(n), boundary_cube(n)):
+            assert count_flow_morphisms(K, n) == brute_flow_count(K, n)
+
+    @pytest.mark.parametrize("name, K", [
+        ("torus3", torus(3)),
+        ("torus-circle", tensor(torus(2), circle())),
+        ("klein", klein_bottle()),
+    ])
+    def test_looping_counts(self, name, K):
+        for bound in range(5):
+            assert count_flow_morphisms(K, bound) == brute_flow_count(K, bound)
+
+    def test_cube9_corners_by_size(self):
+        n = 9
+        K = standard_cube(n)
+        (c,) = enumerate_path_classes(K, "0" * n, "1" * n, n)
+        assert c.size == math.factorial(n)
+        assert c.representative == staircase(K, CellId(n, "*" * n)).edges
+
+    def test_long_line_expands_members_without_recursion(self):
+        # a directed line of 3,000 edges ending in a filled square: the one
+        # corner-to-corner class has two members, each 3,002 edges long,
+        # far deeper than the default recursion limit
+        n = 3000
+        states = [f"v{k}" for k in range(n + 1)] + ["p", "q", "r"]
+        ends = {f"e{k}": (f"v{k}", f"v{k + 1}") for k in range(n)}
+        ends.update({"x": (f"v{n}", "p"), "y": ("p", "r"),
+                     "x2": (f"v{n}", "q"), "y2": ("q", "r")})
+        faces = {(1, 1, alpha, e): ends[e][alpha] for e in ends for alpha in (0, 1)}
+        faces.update({(2, 2, 0, "s"): "x", (2, 1, 1, "s"): "y",
+                      (2, 1, 0, "s"): "x2", (2, 2, 1, "s"): "y2"})
+        K = PrecubicalSet({0: states, 1: sorted(ends), 2: ["s"]}, faces)
+        (c,) = enumerate_path_classes(K, "v0", "r", n + 2)
+        line = tuple(f"e{k}" for k in range(n))
+        assert c.size == 2
+        assert c.members == frozenset({line + ("x", "y"), line + ("x2", "y2")})
+        assert c.representative == line + ("x", "y")
+        assert path_equal(K, line + ("x", "y"), line + ("x2", "y2"))
+
+
+class TestPathClassValue:
+    def test_equality_ignores_the_level_tables(self):
+        K = standard_cube(2)
+        (c,) = enumerate_path_classes(K, "00", "11", 2)
+        hand = PathClass(("*0", "1*"), "00", "11", 2, 2)
+        assert c == hand and hash(c) == hash(hand)
+        assert c.members == frozenset({("*0", "1*"), ("0*", "*1")})
+
+    def test_hand_built_singleton_knows_its_member(self):
+        assert PathClass(("*",), "0", "1", 1, 1).members == frozenset({("*",)})
+
+    def test_hand_built_class_cannot_invent_members(self):
+        with pytest.raises(ValueError, match="hand-built"):
+            PathClass(("*0", "1*"), "00", "11", 2, 2).members
+
+
+def dangling_edge(missing: bool = False) -> PrecubicalSet:
+    """Edges a -> b and b -> z, where z is not a declared state, or where
+    the second edge's d[1,1] entry is absent altogether."""
+    faces = {(1, 1, 0, "e0"): "a", (1, 1, 1, "e0"): "b", (1, 1, 0, "e"): "b"}
+    if not missing:
+        faces[(1, 1, 1, "e")] = "z"
+    return PrecubicalSet({0: ["a", "b"], 1: ["e", "e0"]}, faces)
+
+
+DANGLING = "cell (1, 'e'): face d[1,1] points at undeclared cell 'z'"
+MISSING = "cell (1, 'e'): face d[1,1] is missing"
+
+
+class TestDanglingEndpoint:
+    """An edge whose endpoint is undeclared or absent gets a named error,
+    not a bare KeyError or a silent answer."""
+
+    def test_state_order(self):
+        with pytest.raises(ValueError, match=f"^{re.escape(DANGLING)}$"):
+            state_order(dangling_edge())
+
+    def test_count_flow_morphisms(self):
+        with pytest.raises(ValueError, match=f"^{re.escape(DANGLING)}$"):
+            count_flow_morphisms(dangling_edge(), 2)
+
+    def test_path_equal(self):
+        with pytest.raises(ValueError, match=f"^{re.escape(DANGLING)}$"):
+            path_equal(dangling_edge(), ("e0",), ("e0",))
+
+    def test_enumerate_path_classes(self):
+        with pytest.raises(ValueError, match=f"^{re.escape(DANGLING)}$"):
+            enumerate_path_classes(dangling_edge(), "a", "b", 2)
+
+    def test_missing_endpoint(self):
+        for call in (lambda K: state_order(K),
+                     lambda K: count_flow_morphisms(K, 1),
+                     lambda K: enumerate_path_classes(K, "a", "b", 1),
+                     lambda K: edge_path(K, ("e",))):
+            with pytest.raises(ValueError, match=f"^{re.escape(MISSING)}$"):
+                call(dangling_edge(missing=True))
+
+
+def pushout_leg(f: PcsMap, g: PcsMap, P: PrecubicalSet) -> PcsMap:
+    """The map K -> P of the pushout P of K <- L -> M: each cell of K goes
+    to the least tagged label of its identification class, as pushout
+    names them.  Computed here from the identifications alone."""
+    K, M = f.target, g.target
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for cell in f.source.all_cells():
+        key = (cell.dim, cell.label)
+        a = find((cell.dim, f"K:{f.mapping[key]}"))
+        b = find((cell.dim, f"M:{g.mapping[key]}"))
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    classes = {}
+    for side, X in (("K", K), ("M", M)):
+        for cell in X.all_cells():
+            node = (cell.dim, f"{side}:{cell.label}")
+            root = find(node)
+            classes[root] = min(classes.get(root, node[1]), node[1])
+    mapping = {
+        (cell.dim, cell.label): classes[find((cell.dim, f"K:{cell.label}"))]
+        for cell in K.all_cells()
+    }
+    return PcsMap(K, P, mapping)
+
+
+class TestFunctoriality:
+    """Along a pushout inclusion, paths that are equal in the source flow
+    stay equal in the target flow."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_pushout_leg_preserves_path_equality(self, seed):
+        # glue a second random complex along a vertex or along an edge; an
+        # edge glued onto the circle's loop folds its two ends together, so
+        # the leg need not be injective
+        rng = random.Random(seed)
+        K = random_glued_complex(rng)
+        M = random_glued_complex(rng) if seed % 3 else circle()
+        if seed % 3 == 1:
+            L = standard_cube(0)
+            f = PcsMap(L, K, {(0, ""): rng.choice(K.cells(0))})
+            g = PcsMap(L, M, {(0, ""): rng.choice(M.cells(0))})
+        else:
+            L = standard_cube(1)
+            f, g = (PcsMap(L, X, {(1, "*"): e, (0, "0"): X.face_label(1, e, 1, 0),
+                                  (0, "1"): X.face_label(1, e, 1, 1)})
+                    for X, e in ((K, rng.choice(K.cells(1))), (M, rng.choice(M.cells(1)))))
+        P = pushout(f, g)
+        leg = pushout_leg(f, g, P)
+        assert leg.is_valid
+        if seed % 3 == 0 and f.mapping[(0, "0")] != f.mapping[(0, "1")]:
+            assert leg.mapping[(0, f.mapping[(0, "0")])] == leg.mapping[(0, f.mapping[(0, "1")])]
+        checked = 0
+        for a in K.cells(0):
+            for b in K.cells(0):
+                for c in enumerate_path_classes(K, a, b, 3):
+                    members = sorted(c.members)
+                    for p in members[:3]:
+                        for q in members[-2:]:
+                            assert path_equal(K, p, q)
+                            mp = map_path(leg, edge_path(K, p))
+                            mq = map_path(leg, edge_path(K, q))
+                            assert path_equal(P, mp, mq)
+                            checked += 1
+        assert checked > 0
