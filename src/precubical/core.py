@@ -244,6 +244,13 @@ class PrecubicalSet:
         return f"PrecubicalSet(cells=({counts}))"
 
 
+def _face_error(dim: int, label: str, i: int, alpha: int, face) -> ValueError:
+    """The named error for a face entry that is missing (face is None) or
+    points at an undeclared cell."""
+    problem = "is missing" if face is None else f"points at undeclared cell {face!r}"
+    return ValueError(f"cell ({dim}, {label!r}): face d[{i},{alpha}] {problem}")
+
+
 def validate(K: PrecubicalSet) -> list[Violation]:
     """Check the precubical axioms; an empty report means K is a precubical set.
 
@@ -528,7 +535,23 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
 
     A pair cell is labeled "x|y".  Faces act on the left factor for
     i <= p and on the right factor, with the index shifted by p, otherwise.
+    A face entry missing from either factor raises ValueError naming it.
     """
+    def face_rows(M):
+        # (dim, label) -> [(i, alpha, face label)], each entry read once
+        rows = {}
+        for n in range(1, M.top_dim + 1):
+            for x in M.cells(n):
+                row = rows[n, x] = []
+                for i in range(1, n + 1):
+                    for alpha in (0, 1):
+                        face = M.face_label(n, x, i, alpha)
+                        if face is None:
+                            raise _face_error(n, x, i, alpha, None)
+                        row.append((i, alpha, face))
+        return rows
+
+    left, right = face_rows(K), face_rows(L)
     cells: dict[int, list[str]] = {}
     faces = {}
     for p in range(K.top_dim + 1):
@@ -537,14 +560,10 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
                 for y in L.cells(q):
                     label = f"{x}|{y}"
                     cells.setdefault(p + q, []).append(label)
-                    for i in range(1, p + 1):
-                        for alpha in (0, 1):
-                            fx = K.face_label(p, x, i, alpha)
-                            faces[(p + q, i, alpha, label)] = f"{fx}|{y}"
-                    for i in range(1, q + 1):
-                        for alpha in (0, 1):
-                            fy = L.face_label(q, y, i, alpha)
-                            faces[(p + q, p + i, alpha, label)] = f"{x}|{fy}"
+                    for i, alpha, fx in left.get((p, x), ()):
+                        faces[(p + q, i, alpha, label)] = f"{fx}|{y}"
+                    for i, alpha, fy in right.get((q, y), ()):
+                        faces[(p + q, p + i, alpha, label)] = f"{x}|{fy}"
     return PrecubicalSet(cells, faces)
 
 

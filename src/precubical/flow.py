@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import CellId, PrecubicalSet, _UnionFind, apply_cube_map
+from .core import CellId, PrecubicalSet, _UnionFind, _face_error, apply_cube_map
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,7 @@ def _edge_ends(K: PrecubicalSet, label: str) -> tuple[str, str]:
     for alpha in (0, 1):
         state = K.face_label(1, label, 1, alpha)
         if state is None or not K.has_cell(0, state):
-            problem = ("is missing" if state is None
-                       else f"points at undeclared cell {state!r}")
-            raise ValueError(f"cell (1, {label!r}): face d[1,{alpha}] {problem}")
+            raise _face_error(1, label, 1, alpha, state)
         ends.append(state)
     return ends[0], ends[1]
 

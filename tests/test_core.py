@@ -437,6 +437,15 @@ class TestTensor:
         _, K = corpus_complex
         assert validate(tensor(K, standard_cube(1))) == []
 
+    def test_missing_face_is_named_in_either_factor(self):
+        # without the check the product had faces labeled "None|0"
+        broken = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "a"})
+        message = r"^cell \(1, 'e'\): face d\[1,1\] is missing$"
+        with pytest.raises(ValueError, match=message):
+            tensor(broken, standard_cube(1))
+        with pytest.raises(ValueError, match=message):
+            tensor(standard_cube(1), broken)
+
 
 class TestIsomorphism:
     def test_distinguishes_counts(self):

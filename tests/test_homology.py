@@ -23,7 +23,14 @@ from precubical import (
     validate,
 )
 
-from conftest import is_zero, klein_bottle, matmul, random_glued_complex
+from conftest import (
+    CORPUS,
+    is_zero,
+    klein_bottle,
+    matmul,
+    random_glued_complex,
+    wedge_of_circles,
+)
 
 
 def oracle_invariant_factors(matrix) -> tuple:
@@ -34,6 +41,42 @@ def oracle_invariant_factors(matrix) -> tuple:
     S = sympy_snf(M, domain=sympy.ZZ)
     diag = [abs(S[k, k]) for k in range(min(S.rows, S.cols))]
     return tuple(int(d) for d in diag if d != 0)
+
+
+def dense_boundary(K, d) -> list:
+    """The boundary of dimension d filled densely straight from the face
+    table: d[i,alpha] of column c adds (-1)^(i+alpha+1) to its face's row."""
+    index = {label: r for r, label in enumerate(K.cells(d - 1))}
+    M = [[0] * K.n_cells(d) for _ in K.cells(d - 1)]
+    for c, label in enumerate(K.cells(d)):
+        for i in range(1, d + 1):
+            for alpha in (0, 1):
+                M[index[K.face_label(d, label, i, alpha)]][c] += (-1) ** (i + alpha + 1)
+    return M
+
+
+def klein_power(p):
+    K = klein_bottle()
+    for _ in range(p - 1):
+        K = tensor(K, klein_bottle())
+    return K
+
+
+def sparse_matrices():
+    """60 seeded boundary-shaped matrices: few nonzeros per column, small
+    entries, so both the sparse pass and the leftover block see work."""
+    rng = random.Random(43)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 15), rng.randint(1, 15)
+        matrix = [[0] * cols for _ in range(rows)]
+        for c in range(cols):
+            for r in rng.sample(range(rows), min(rows, rng.randint(0, 3))):
+                matrix[r][c] = rng.choice((1, -1, 2, -2, 3, -3))
+        yield matrix
+
+
+def dict_rows(matrix) -> list:
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
 
 
 def oracle_homology(K):
@@ -84,6 +127,21 @@ class TestChainComplex:
         complex_ = chain_complex(circle())
         assert complex_.matrix(1) == [[0]]
 
+    def test_matrix_is_the_dense_face_table(self):
+        rng = random.Random(907)
+        complexes = [K for _, K in CORPUS] + [klein_power(p) for p in (1, 2, 3)]
+        complexes += [random_glued_complex(rng) for _ in range(200)]
+        for K in complexes:
+            complex_ = chain_complex(K)
+            for d in range(K.top_dim + 2):
+                assert complex_.matrix(d) == dense_boundary(K, d)
+
+    def test_rows_hold_no_zero(self):
+        for K in (circle(), wedge_of_circles(), klein_bottle(), klein_power(2)):
+            complex_ = chain_complex(K)
+            for d in range(K.top_dim + 2):
+                assert all(v != 0 for row in complex_.rows(d) for v in row.values())
+
     def test_missing_face_is_named(self):
         K = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "a"})
         with pytest.raises(ValueError, match=r"^cell \(1, 'e'\): face d\[1,1\] is missing$"):
@@ -133,16 +191,22 @@ class TestSmithNormalForm:
             assert smith_normal_form(matrix) == oracle_invariant_factors(matrix)
 
     def test_sparse_against_sympy(self):
-        # boundary-shaped: few nonzeros per column, small entries, so both
-        # the sparse pass and the leftover block see work
-        rng = random.Random(43)
-        for _ in range(60):
-            rows, cols = rng.randint(1, 15), rng.randint(1, 15)
-            matrix = [[0] * cols for _ in range(rows)]
-            for c in range(cols):
-                for r in rng.sample(range(rows), min(rows, rng.randint(0, 3))):
-                    matrix[r][c] = rng.choice((1, -1, 2, -2, 3, -3))
+        for matrix in sparse_matrices():
             assert smith_normal_form(matrix) == oracle_invariant_factors(matrix)
+
+    def test_dict_rows_match_dense_rows(self):
+        # a column permutation changes the order the sparse pass sweeps in
+        rng = random.Random(44)
+        for matrix in sparse_matrices():
+            factors = smith_normal_form(matrix)
+            rows = dict_rows(matrix)
+            assert smith_normal_form(rows) == factors
+            assert rows == dict_rows(matrix)  # the input is left alone
+            order = list(range(len(matrix[0])))
+            rng.shuffle(order)
+            permuted = [[row[c] for c in order] for row in matrix]
+            assert smith_normal_form(permuted) == factors
+            assert smith_normal_form(dict_rows(permuted)) == factors
 
     def test_empty_shapes(self):
         assert smith_normal_form(np.zeros((0, 3), dtype=np.int64)) == ()
@@ -160,7 +224,7 @@ class TestHomology:
         assert result.betti == (1, 0, 0, 1)
         assert all(t == () for t in result.torsion)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_boundary_cubes_are_spheres(self, n):
         result = homology(boundary_cube(n + 1))
         expected = [0] * (n + 1)
