@@ -535,7 +535,8 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
 
     A pair cell is labeled "x|y".  Faces act on the left factor for
     i <= p and on the right factor, with the index shifted by p, otherwise.
-    A face entry missing from either factor raises ValueError naming it.
+    A face entry of either factor that is missing or points at an
+    undeclared cell raises ValueError naming the factor's cell.
     """
     def face_rows(M):
         # (dim, label) -> [(i, alpha, face label)], each entry read once
@@ -546,8 +547,8 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
                 for i in range(1, n + 1):
                     for alpha in (0, 1):
                         face = M.face_label(n, x, i, alpha)
-                        if face is None:
-                            raise _face_error(n, x, i, alpha, None)
+                        if face is None or not M.has_cell(n - 1, face):
+                            raise _face_error(n, x, i, alpha, face)
                         row.append((i, alpha, face))
         return rows
 

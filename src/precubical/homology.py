@@ -13,12 +13,14 @@ Boundaries are sparse from the face table on: one dict row per cell of
 the dimension below, holding only nonzero coefficients, so building them
 costs one step per face entry.  Dense rows are made only when asked for.
 
-The Smith normal form works in two stages.  A sparse pass sweeps the
-columns from last to first and eliminates pivots that divide their whole
-row and column (every +-1, and the +-2 of a Klein bottle), which splits
-the pivot off by unimodular row and column operations and so keeps the
-answer exact over Z; boundary matrices of cubical complexes are usually
-consumed by it entirely.  A dense pass finishes whatever block is left.
+The Smith normal form is one sparse elimination.  It sweeps the columns
+from last to first and eliminates pivots that divide their whole row and
+column (every +-1, and the +-2 of a Klein bottle), which splits the pivot
+off by unimodular row and column operations and so keeps the answer exact
+over Z; boundary matrices of cubical complexes are usually consumed by
+the sweeps entirely.  When a sweep finds no such pivot, a remainder step
+reduces the column and then the row of the least entry by floor
+division, which leaves a smaller entry for the next sweep.
 
 Bases are ordered lexicographically by cell label, making every matrix and
 report reproducible bit for bit.
@@ -101,53 +103,53 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     ints, so the input is left alone and intermediate growth cannot
     overflow.
 
-    Two stages.  The sparse pass copies the nonzero entries into row
-    dicts and column row-sets, sweeps the columns from last to first (an
-    order that creates fewer new entries on cubical boundaries) and takes
-    each pivot p that divides every entry of its row and its column (a
-    +-1 always does).  Row operations that subtract multiples of the pivot
-    row clear its column and, since p divides the row, column operations
-    would clear the row without touching anything else, so the matrix is
-    equivalent over Z to diag(p) plus the block left when the pivot's row
-    and column are dropped: both kinds of operation are unimodular, and
-    the pass is exact.  Whatever no such pivot reaches goes to the dense
-    pass, which searches the leftover block for its smallest entry each
-    round.  The unit pivots give leading 1s; the other pivots and the
-    leftover block's factors are merged into divisibility order by gcd and
-    lcm.
+    One sparse elimination copies the nonzero entries into row dicts and
+    column row-sets and splits the matrix, by unimodular row and column
+    operations, into a diagonal of pivots, so the pass is exact.  Its
+    invariant factors are the matrix's: the unit pivots give leading 1s,
+    and the other pivots are merged into divisibility order by gcd and
+    lcm, since diag(p) plus a block has the merged factors of the two.
     """
     # compress picks out a dense row's nonzero entries without a Python-level test each
     rows = [{c: int(v) for c, v in row.items() if v} if isinstance(row, dict)
             else {c: int(row[c]) for c in compress(count(), row)} for row in matrix]
-    pivots = _clear_divisible_pivots(rows)
+    pivots = _split_pivots(rows)
     factors = [p for p in pivots if p > 1]
-    units = len(pivots) - len(factors)
-    live = [row for row in rows if row]
-    if live:
-        cols = sorted({c for row in live for c in row})
-        factors += _dense_factors([[row.get(c, 0) for c in cols] for row in live])
-    return (1,) * units + _diagonal_factors(factors)
+    return (1,) * (len(pivots) - len(factors)) + _diagonal_factors(factors)
 
 
-def _clear_divisible_pivots(rows: list[dict]) -> list[int]:
-    """Eliminate divisible pivots from sparse rows in place; their |values|.
+def _split_pivots(rows: list[dict]) -> list[int]:
+    """Split sparse rows into a diagonal of pivots in place; their |values|.
 
-    Sweeps the columns from last to first until a whole sweep finds no
-    pivot, so the search never rescans the matrix for a single pivot.  In
-    each column the pivot is an entry of least absolute value that divides
-    its column and its row, from the row with the fewest entries, the first
-    such row on ties.  That order and tie-break keep fill-in low: on
-    boundary 8 they create 59,266 new entries where a first-to-last sweep
-    taking any fewest-entry row created 188,943.  What is left in rows is
-    the leftover block.
+    Sweeps the columns from last to first, an order that creates fewer new
+    entries on cubical boundaries, and takes each pivot p that divides
+    every entry of its row and its column (a +-1 always does).  Row
+    operations that subtract multiples of the pivot row clear its column
+    and, since p divides the row, column operations would clear the row
+    without touching anything else, so the matrix is equivalent over Z to
+    diag(p) plus the block left when the pivot's row and column are
+    dropped.  In each column the pivot is an entry of least absolute value
+    from the row with the fewest entries, the first such row on ties.
+    That order and tie-break keep fill-in low: on boundary 8 they create
+    59,266 new entries where a first-to-last sweep taking any fewest-entry
+    row created 188,943.  Boundary matrices of cubical complexes are
+    usually consumed by the sweeps alone.
+
+    When a whole sweep finds no pivot, a remainder step takes the entry p
+    of least absolute value (the first by row, then column, on ties) and
+    reduces its column by floor-quotient row operations.  If p is then
+    alone in its column, a column operation changes only p's row, so the
+    row is reduced mod p.  Since p did not divide both its row and its
+    column, one of them now holds a remainder smaller than |p|.  Each
+    sweep that finds pivots empties rows and each remainder step shrinks
+    the least entry without filling a row, so the loop ends.
     """
     cols: dict[int, set] = {}
     for r, row in enumerate(rows):
         for c in row:
             cols.setdefault(c, set()).add(r)
     pivots = []
-    found = True
-    while found:
+    while cols:
         found = False
         for c in sorted(cols, reverse=True):
             col = cols.get(c)
@@ -164,29 +166,50 @@ def _clear_divisible_pivots(rows: list[dict]) -> list[int]:
                     pivot = r
             if pivot is None:
                 continue
-            prow = rows[pivot]
-            p = prow[c]
-            for r in col - {pivot}:
-                row = rows[r]
-                q = row[c] // p
-                for j, v in prow.items():
-                    w = row.get(j, 0) - q * v
-                    if w:
-                        if j not in row:
-                            cols[j].add(r)
-                        row[j] = w
-                    else:
-                        del row[j]
-                        cols[j].discard(r)
-            for j in prow:
+            _reduce_column(rows, cols, pivot, c)
+            for j in rows[pivot]:
                 members = cols[j]
                 members.discard(pivot)
                 if not members:
                     del cols[j]
             rows[pivot] = {}
-            pivots.append(abs(p))
+            pivots.append(size)
             found = True
+        if found:
+            continue
+        # the remainder step: p divides at most one of its row and column
+        _, pivot, c = min((abs(v), r, c) for r, row in enumerate(rows) for c, v in row.items())
+        _reduce_column(rows, cols, pivot, c)
+        if len(cols[c]) == 1:
+            prow = rows[pivot]
+            p = prow[c]
+            for j in [j for j in prow if j != c]:
+                prow[j] %= p
+                if not prow[j]:
+                    del prow[j]
+                    cols[j].discard(pivot)
+                    if not cols[j]:
+                        del cols[j]
     return pivots
+
+
+def _reduce_column(rows: list[dict], cols: dict, pivot: int, c: int) -> None:
+    """Subtract from every other row of column c the pivot row times the
+    floor quotient of the row's entry by the pivot's; the remainders stay."""
+    prow = rows[pivot]
+    p = prow[c]
+    for r in cols[c] - {pivot}:
+        row = rows[r]
+        q = row[c] // p
+        for j, v in prow.items():
+            w = row.get(j, 0) - q * v
+            if w:
+                if j not in row:
+                    cols[j].add(r)
+                row[j] = w
+            else:
+                del row[j]
+                cols[j].discard(r)
 
 
 def _diagonal_factors(entries: list[int]) -> tuple[int, ...]:
@@ -206,71 +229,6 @@ def _diagonal_factors(entries: list[int]) -> tuple[int, ...]:
             g = math.gcd(d[i], d[j])
             d[i], d[j] = g, d[i] // g * d[j]
     return tuple(d)
-
-
-def _dense_factors(A: list[list[int]]) -> list[int]:
-    """Invariant factors of a dense matrix of Python ints, modified in place.
-
-    Each round moves the smallest nonzero entry of the remaining block to
-    the corner and reduces its row and column by it, until it divides
-    them and the rest of the block.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    factors = []
-    t = 0
-    while True:
-        # locate the smallest nonzero entry in the remaining block
-        pivot = None
-        best = None
-        for r in range(t, m):
-            row = A[r]
-            for c in range(t, n):
-                v = abs(row[c])
-                if v and (best is None or v < best):
-                    best, pivot = v, (r, c)
-        if pivot is None:
-            break
-        r, c = pivot
-        A[t], A[r] = A[r], A[t]
-        for row in A:
-            row[t], row[c] = row[c], row[t]
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-
-        dirty = False
-        for r in range(t + 1, m):
-            q = A[r][t] // A[t][t]
-            if q:
-                A[r] = [x - q * y for x, y in zip(A[r], A[t])]
-            if A[r][t]:
-                dirty = True
-        for c in range(t + 1, n):
-            q = A[t][c] // A[t][t]
-            if q:
-                for row in A:
-                    row[c] -= q * row[t]
-            if A[t][c]:
-                dirty = True
-        if dirty:
-            continue  # remainders survive; pick a smaller pivot next round
-
-        # pivot divides its row and column; enforce divisibility of the rest
-        d = A[t][t]
-        offender = None
-        for r in range(t + 1, m):
-            for c in range(t + 1, n):
-                if A[r][c] % d:
-                    offender = r
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            A[t] = [x + y for x, y in zip(A[t], A[offender])]
-            continue
-        factors.append(d)
-        t += 1
-    return factors
 
 
 @dataclass(frozen=True)

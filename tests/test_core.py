@@ -438,13 +438,19 @@ class TestTensor:
         assert validate(tensor(K, standard_cube(1))) == []
 
     def test_missing_face_is_named_in_either_factor(self):
-        # without the check the product had faces labeled "None|0"
-        broken = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "a"})
-        message = r"^cell \(1, 'e'\): face d\[1,1\] is missing$"
-        with pytest.raises(ValueError, match=message):
-            tensor(broken, standard_cube(1))
-        with pytest.raises(ValueError, match=message):
-            tensor(standard_cube(1), broken)
+        # without the check the product had faces labeled "None|0", and a
+        # dangling face became one dangling product face per cell of the
+        # other factor ('z|0', 'z|1', 'z|*')
+        missing = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "a"})
+        dangling = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "z", (1, 1, 1, "e"): "a"})
+        for broken, message in (
+            (missing, r"^cell \(1, 'e'\): face d\[1,1\] is missing$"),
+            (dangling, r"^cell \(1, 'e'\): face d\[1,0\] points at undeclared cell 'z'$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                tensor(broken, standard_cube(1))
+            with pytest.raises(ValueError, match=message):
+                tensor(standard_cube(1), broken)
 
 
 class TestIsomorphism:

@@ -64,7 +64,8 @@ def klein_power(p):
 
 def sparse_matrices():
     """60 seeded boundary-shaped matrices: few nonzeros per column, small
-    entries, so both the sparse pass and the leftover block see work."""
+    entries, so both the divisible-pivot sweep and the remainder step see
+    work."""
     rng = random.Random(43)
     for _ in range(60):
         rows, cols = rng.randint(1, 15), rng.randint(1, 15)
@@ -163,15 +164,27 @@ class TestSmithNormalForm:
         assert smith_normal_form([[2]]) == (2,)
         assert smith_normal_form([[0, 0], [0, 0]]) == ()
         assert smith_normal_form([[1, 0], [0, 2]]) == (1, 2)
-        # one case per stage: unit pivots only; the Klein bottle's square, a
-        # divisible non-unit pivot; no divisible pivot, so all of it is the
-        # leftover block; non-unit pivots merged by gcd and lcm
+        # unit pivots only; the Klein bottle's square, a divisible non-unit
+        # pivot; no divisible pivot, so the remainder step starts; non-unit
+        # pivots merged by gcd and lcm
         assert smith_normal_form([[1, 1], [0, 1]]) == (1, 1)
         assert smith_normal_form([[2], [-2]]) == (2,)
         assert smith_normal_form([[2, 3], [3, 2]]) == (1, 5)
         assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
         # gcd and lcm of coprime-free diagonal entries
         assert smith_normal_form([[4, 0], [0, 6]]) == (2, 12)
+        # the remainder step (expected values from sympy): a row, then a
+        # column, the pivot does not divide; gcd 1 only after two rounds
+        assert smith_normal_form([[2, 3]]) == (1,)
+        assert smith_normal_form([[2], [3]]) == (1,)
+        assert smith_normal_form([[6, 10, 15]]) == (1,)
+        # a block with no divisible pivot next to a divisible one, whose
+        # factors are merged with the block's; a row left after a split
+        assert smith_normal_form([[2, 3, 0], [3, 2, 0], [0, 0, 4]]) == (1, 1, 20)
+        assert smith_normal_form([[4, 6, 0], [0, 0, 2]]) == (2, 2)
+        # all entries negative, so every remainder is taken mod a negative pivot
+        assert smith_normal_form([[-4, -6], [-6, -4]]) == (2, 10)
+        assert smith_normal_form([[-6, -10, -15]]) == (1,)
 
     def test_divisibility_chain(self):
         rng = random.Random(41)
@@ -193,6 +206,19 @@ class TestSmithNormalForm:
     def test_sparse_against_sympy(self):
         for matrix in sparse_matrices():
             assert smith_normal_form(matrix) == oracle_invariant_factors(matrix)
+
+    def test_larger_entries_against_sympy(self):
+        # entries up to 50 in size make several remainder steps per matrix
+        rng = random.Random(45)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            matrix = [[rng.randint(-50, 50) if rng.random() < 0.5 else 0 for _ in range(cols)]
+                      for _ in range(rows)]
+            factors = oracle_invariant_factors(matrix)
+            assert smith_normal_form(matrix) == factors
+            rows = dict_rows(matrix)
+            assert smith_normal_form(rows) == factors
+            assert rows == dict_rows(matrix)  # the remainder step works on a copy
 
     def test_dict_rows_match_dense_rows(self):
         # a column permutation changes the order the sparse pass sweeps in
