@@ -190,6 +190,8 @@ class PrecubicalSet:
                 raise ValueError(f"face value must be a label string: {value!r}")
             face_map[(dim, i, alpha, label)] = value
         self._faces = face_map
+        # set by validate; a complex that passed is never checked again
+        self._valid = False
 
     @property
     def top_dim(self) -> int:
@@ -244,13 +246,6 @@ class PrecubicalSet:
         return f"PrecubicalSet(cells=({counts}))"
 
 
-def _face_error(dim: int, label: str, i: int, alpha: int, face) -> ValueError:
-    """The named error for a face entry that is missing (face is None) or
-    points at an undeclared cell."""
-    problem = "is missing" if face is None else f"points at undeclared cell {face!r}"
-    return ValueError(f"cell ({dim}, {label!r}): face d[{i},{alpha}] {problem}")
-
-
 def validate(K: PrecubicalSet) -> list[Violation]:
     """Check the precubical axioms; an empty report means K is a precubical set.
 
@@ -258,7 +253,8 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     declared cell of the dimension below, and every violated instance
     (i, j, alpha, beta, cell) of the cubical relation.  Relation instances
     whose ingredient faces are missing or dangling are skipped, since they
-    are already reported.
+    are already reported.  K remembers the verdict, so _require_valid
+    checks it only once.
     """
     faces = K._faces
     report: list[Violation] = []
@@ -309,7 +305,21 @@ def validate(K: PrecubicalSet) -> list[Violation]:
                                                f"but d[{j-1},{beta}]d[{i},{alpha}] = {right!r}",
                                     )
                                 )
+    K._valid = not report
     return report
+
+
+def _require_valid(K: PrecubicalSet) -> None:
+    """Raise ValueError naming the first violation of K, unless K has
+    already passed validate."""
+    if K._valid:
+        return
+    report = validate(K)
+    if report:
+        v = report[0]
+        problem = (v.detail if v.kind == "cubical-relation"
+                   else f"face d[{v.i},{v.alpha}] {v.detail or 'is missing'}")
+        raise ValueError(f"cell ({v.dim}, {v.cell!r}): {problem}")
 
 
 def cube_words(n: int):
@@ -367,15 +377,17 @@ def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
         raise ValueError(
             f"word length {len(w)} does not match cell dimension {c.dim}"
         )
+    _require_valid(K)
     letters = w.letters
-    cell = c
+    dim, label = c.dim, c.label
     while True:
         pos = next((p for p, ch in enumerate(letters) if ch != STAR), None)
         if pos is None:
-            return cell
+            return CellId(dim, label)
         # w factors as (insert letter at pos) o (rest of the word), so the
         # presheaf applies the face first and the remaining word after
-        cell = K.face(cell, pos + 1, int(letters[pos]))
+        label = K._faces[(dim, pos + 1, int(letters[pos]), label)]
+        dim -= 1
         letters = letters[:pos] + letters[pos + 1 :]
 
 
@@ -535,22 +547,16 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
 
     A pair cell is labeled "x|y".  Faces act on the left factor for
     i <= p and on the right factor, with the index shifted by p, otherwise.
-    A face entry of either factor that is missing or points at an
-    undeclared cell raises ValueError naming the factor's cell.
+    An invalid factor raises ValueError naming its first violation.
     """
     def face_rows(M):
         # (dim, label) -> [(i, alpha, face label)], each entry read once
-        rows = {}
-        for n in range(1, M.top_dim + 1):
-            for x in M.cells(n):
-                row = rows[n, x] = []
-                for i in range(1, n + 1):
-                    for alpha in (0, 1):
-                        face = M.face_label(n, x, i, alpha)
-                        if face is None or not M.has_cell(n - 1, face):
-                            raise _face_error(n, x, i, alpha, face)
-                        row.append((i, alpha, face))
-        return rows
+        _require_valid(M)
+        return {
+            (n, x): [(i, alpha, M._faces[(n, i, alpha, x)])
+                     for i in range(1, n + 1) for alpha in (0, 1)]
+            for n in range(1, M.top_dim + 1) for x in M.cells(n)
+        }
 
     left, right = face_rows(K), face_rows(L)
     cells: dict[int, list[str]] = {}

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import CellId, PrecubicalSet, _UnionFind, _face_error, apply_cube_map
+from .core import CellId, PrecubicalSet, _UnionFind, _require_valid, apply_cube_map
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,11 @@ def corner(K: PrecubicalSet, c: CellId, alpha: int) -> str:
     """
     if alpha not in (0, 1):
         raise ValueError(f"corner sign must be 0 or 1: {alpha!r}")
-    while c.dim > 0:
-        c = K.face(c, 1, alpha)
-    return c.label
+    _require_valid(K)
+    label = c.label
+    for n in range(c.dim, 0, -1):
+        label = K._faces[(n, 1, alpha, label)]
+    return label
 
 
 def staircase(K: PrecubicalSet, c: CellId) -> EdgePath:
@@ -134,21 +136,15 @@ def staircase(K: PrecubicalSet, c: CellId) -> EdgePath:
 
 
 def _edge_ends(K: PrecubicalSet, label: str) -> tuple[str, str]:
-    """The source and target states of an edge; a missing or dangling
-    endpoint raises ValueError in chain_complex's wording."""
+    """The source and target states of an edge of a valid K."""
     if not K.has_cell(1, label):
         raise ValueError(f"not a 1-cell: {label!r}")
-    ends = []
-    for alpha in (0, 1):
-        state = K.face_label(1, label, 1, alpha)
-        if state is None or not K.has_cell(0, state):
-            raise _face_error(1, label, 1, alpha, state)
-        ends.append(state)
-    return ends[0], ends[1]
+    return K._faces[(1, 1, 0, label)], K._faces[(1, 1, 1, label)]
 
 
 def edge_path(K: PrecubicalSet, edges) -> EdgePath:
     """Build an EdgePath, checking that consecutive endpoints match."""
+    _require_valid(K)
     if isinstance(edges, EdgePath):
         edges = edges.edges
     labels = tuple(str(e) for e in edges)
@@ -181,16 +177,13 @@ class _Edges:
 
 
 def _edge_table(K: PrecubicalSet) -> _Edges:
+    _require_valid(K)
     labels = K.cells(1)
     out: dict[str, list[int]] = {state: [] for state in K.cells(0)}
-    face = K.face_label
-    src, tgt = [], []
-    for n, e in enumerate(labels):
-        s, t = face(1, e, 1, 0), face(1, e, 1, 1)
-        if s not in out or t not in out:
-            _edge_ends(K, e)  # raises the named error
-        src.append(s)
-        tgt.append(t)
+    faces = K._faces
+    src = [faces[(1, 1, 0, e)] for e in labels]
+    tgt = [faces[(1, 1, 1, e)] for e in labels]
+    for n, s in enumerate(src):
         out[s].append(n)
     return _Edges(labels, {e: n for n, e in enumerate(labels)}, src, tgt, out)
 
@@ -199,30 +192,17 @@ def _square_moves(K: PrecubicalSet, edges: _Edges) -> dict:
     """Map each edge number x to the moves (y, x', y') that may replace x
     then y by x' then y' inside a path.
 
-    For a 2-cell s the pair (d[2,0]s, d[1,1]s) and the pair
-    (d[1,0]s, d[2,1]s) are the two boundary composites of s.  A move must
-    keep the path's endpoints, so a square whose composites start or end at
-    different vertices raises ValueError.  A composite that names a
-    non-edge never occurs in a path; as an alternative it is kept as None,
-    and the level pass raises if a path can reach it.
+    For a 2-cell s of a valid K the pair (d[2,0]s, d[1,1]s) and the pair
+    (d[1,0]s, d[2,1]s) are the two boundary composites of s; the cubical
+    relations make each an edge path, and both run between the same corners.
     """
     moves: dict[int, list[tuple]] = {}
-    number, src, tgt = edges.number, edges.src, edges.tgt
-    face = K.face_label
+    number, faces = edges.number, K._faces
     for s in K.cells(2):
-        low = (face(2, s, 2, 0), face(2, s, 1, 1))
-        high = (face(2, s, 1, 0), face(2, s, 2, 1))
-        x, y = number.get(low[0]), number.get(low[1])
-        x2, y2 = number.get(high[0]), number.get(high[1])
-        if None not in (x, y, x2, y2) and (src[x] != src[x2] or tgt[y] != tgt[y2]):
-            raise ValueError(
-                f"square {s!r}: boundary composites {low!r} and {high!r} "
-                "do not share their endpoints"
-            )
-        if x is not None and y is not None:
-            moves.setdefault(x, []).append((y, x2, y2))
-        if x2 is not None and y2 is not None:
-            moves.setdefault(x2, []).append((y2, x, y))
+        x, y = number[faces[(2, 2, 0, s)]], number[faces[(2, 1, 1, s)]]
+        x2, y2 = number[faces[(2, 1, 0, s)]], number[faces[(2, 2, 1, s)]]
+        moves.setdefault(x, []).append((y, x2, y2))
+        moves.setdefault(x2, []).append((y2, x, y))
     return moves
 
 
@@ -350,23 +330,13 @@ class _ClassPass:
                 c = prev.cls[px]
                 for y, x2, y2 in alts:
                     py = index.get(c * width + y)
-                    if py is None:
-                        continue
-                    other = None
-                    if x2 is not None and y2 is not None:
-                        px2 = prev.index.get(d * width + x2)
-                        if px2 is not None:
-                            other = index.get(prev.cls[px2] * width + y2)
-                    if other is None:
-                        rep = prev.rep[c] + (edges.labels[y],)
-                        raise ValueError(
-                            f"square moves lead from {rep!r} out of the edge paths "
-                            f"from {edges.src[edges.number[rep[0]]]!r} to {edges.tgt[y]!r}"
-                        )
-                    if (x, y) < (x2, y2):  # its reverse move makes the same union
-                        if uf is None:
-                            uf = _UnionFind()
-                        uf.union(py, other)
+                    if py is None or (x, y) >= (x2, y2):
+                        continue  # its reverse move makes the same union
+                    # both sides share their ends, so the other pair exists
+                    other = index[prev.cls[prev.index[d * width + x2]] * width + y2]
+                    if uf is None:
+                        uf = _UnionFind()
+                    uf.union(py, other)
         return uf
 
     def class_of(self, path) -> int:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, count
 
-from .core import PrecubicalSet, _face_error
+from .core import PrecubicalSet, _require_valid
 
 
 class ChainComplex:
@@ -66,11 +66,9 @@ class ChainComplex:
 
 
 def chain_complex(K: PrecubicalSet) -> ChainComplex:
-    """The cubical chain complex of a finite valid precubical set.
-
-    Raises ValueError naming the first cell found with a missing face
-    entry or one that points at an undeclared cell.
-    """
+    """The cubical chain complex of a finite precubical set; an invalid
+    one raises ValueError naming its first violation."""
+    _require_valid(K)
     basis = {d: K.cells(d) for d in range(K.top_dim + 1)}
     faces = K._faces
     boundary = {}
@@ -80,10 +78,7 @@ def chain_complex(K: PrecubicalSet) -> ChainComplex:
         signs = [(i, alpha, (-1) ** (i + alpha + 1)) for i in range(1, d + 1) for alpha in (1, 0)]
         for col, label in enumerate(basis[d]):
             for i, alpha, sign in signs:
-                face = faces.get((d, i, alpha, label))
-                row = row_of.get(face)
-                if row is None:
-                    raise _face_error(d, label, i, alpha, face)
+                row = row_of[faces[(d, i, alpha, label)]]
                 # a loop's two ends cancel: drop the 0, never store it
                 v = row.get(col, 0) + sign
                 if v:

@@ -120,15 +120,14 @@ except ValueError as exc:
 
 
 class TestBrokenSquare:
-    """A square whose boundary composites disagree at a vertex gets a named
-    error, also under python -O, which strips assert statements."""
+    """A square whose boundary composites disagree at a vertex gets an
+    error naming the violated cubical relation, also under python -O,
+    which strips assert statements."""
 
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     @pytest.mark.parametrize("e4, message", [
-        (("c", "x"), "square 's': boundary composites ('e1', 'e2') and "
-                     "('e3', 'e4') do not share their endpoints"),
-        (("y", "d"), "square moves lead from ('e1', 'e2') out of the edge "
-                     "paths from 'a' to 'd'"),
+        (("c", "x"), "cell (2, 's'): d[1,1]d[2,1] = 'x' but d[1,1]d[1,1] = 'd'"),
+        (("y", "d"), "cell (2, 's'): d[1,0]d[2,1] = 'y' but d[1,1]d[1,0] = 'c'"),
     ], ids=["outer-end", "middle"])
     def test_value_error(self, flags, e4, message):
         proc = subprocess.run(
