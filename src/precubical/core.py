@@ -151,31 +151,26 @@ class PrecubicalSet:
     semantic defects such as dangling face values, missing face entries
     and cubical-relation failures are the business of validate, so that
     broken inputs can be represented and reported.
+
+    The builders standard_cube, boundary_cube, skeleton (of a complex
+    known to be valid), tensor, pushout, disjoint_union, circle, interval,
+    torus and cylinder return complexes that are valid by construction:
+    they skip the constructor's per-entry checks and are never validated
+    on use.  validate itself always runs the full check.
     """
 
     def __init__(self, cells, faces=None):
-        normalized: dict[int, tuple[str, ...]] = {}
-        members: dict[int, frozenset] = {}
+        checked: dict[int, list[str]] = {}
         for dim, labels in dict(cells).items():
             if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
                 raise ValueError(f"cell dimension must be a non-negative int: {dim!r}")
-            labels = list(labels)
+            labels = checked[dim] = list(labels)
             for lab in labels:
                 if not isinstance(lab, str):
                     raise ValueError(f"cell label must be a string: {lab!r}")
-            label_set = frozenset(labels)
-            if len(label_set) != len(labels):
-                dupes = sorted({l for l in labels if labels.count(l) > 1})
-                raise ValueError(f"duplicate labels in dimension {dim}: {dupes}")
-            if labels:
-                normalized[dim] = tuple(sorted(labels))
-                members[dim] = label_set
-        self._cells = normalized
-        # one hashed copy of each dimension's labels, for membership tests
-        self._members = members
-        self._top_dim = max(normalized, default=-1)
+        self._fill(checked, {}, valid=False)
 
-        face_map: dict[tuple[int, int, int, str], str] = {}
+        members, face_map = self._members, self._faces
         for key, value in dict(faces or {}).items():
             dim, i, alpha, label = key
             if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -189,9 +184,36 @@ class PrecubicalSet:
             if not isinstance(value, str):
                 raise ValueError(f"face value must be a label string: {value!r}")
             face_map[(dim, i, alpha, label)] = value
-        self._faces = face_map
-        # set by validate; a complex that passed is never checked again
-        self._valid = False
+
+    @classmethod
+    def _adopt(cls, cells, faces, valid: bool) -> "PrecubicalSet":
+        """A complex owning the given cells and faces dicts, without the
+        constructor's per-entry checks; valid says whether the builder
+        guarantees the precubical axioms."""
+        K = cls.__new__(cls)
+        K._fill(cells, faces, valid)
+        return K
+
+    def _fill(self, cells, faces, valid: bool) -> None:
+        normalized: dict[int, tuple[str, ...]] = {}
+        members: dict[int, frozenset] = {}
+        for dim, labels in cells.items():
+            if not labels:
+                continue
+            label_set = frozenset(labels)
+            if len(label_set) != len(labels):
+                dupes = sorted({l for l in labels if labels.count(l) > 1})
+                raise ValueError(f"duplicate labels in dimension {dim}: {dupes}")
+            normalized[dim] = tuple(sorted(labels))
+            members[dim] = label_set
+        self._cells = normalized
+        # one hashed copy of each dimension's labels, for membership tests
+        self._members = members
+        self._top_dim = max(normalized, default=-1)
+        self._faces = faces
+        # set by validate and by the builders that are valid by
+        # construction; a complex known to be valid is never checked again
+        self._valid = valid
 
     @property
     def top_dim(self) -> int:
@@ -253,8 +275,9 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     declared cell of the dimension below, and every violated instance
     (i, j, alpha, beta, cell) of the cubical relation.  Relation instances
     whose ingredient faces are missing or dangling are skipped, since they
-    are already reported.  K remembers the verdict, so _require_valid
-    checks it only once.
+    are already reported.  Every call runs the full check, also on a
+    complex that is valid by construction.  K remembers the verdict, so
+    _require_valid checks it only once.
     """
     faces = K._faces
     report: list[Violation] = []
@@ -311,7 +334,7 @@ def validate(K: PrecubicalSet) -> list[Violation]:
 
 def _require_valid(K: PrecubicalSet) -> None:
     """Raise ValueError naming the first violation of K, unless K has
-    already passed validate."""
+    already passed validate or is valid by construction."""
     if K._valid:
         return
     report = validate(K)
@@ -343,25 +366,28 @@ def standard_cube(n: int) -> PrecubicalSet:
             head, tail = word[:pos], word[pos + 1 :]
             faces[(k, i, 0, word)] = head + "0" + tail
             faces[(k, i, 1, word)] = head + "1" + tail
-    return PrecubicalSet(cells, faces)
+    return PrecubicalSet._adopt(cells, faces, True)
 
 
 def boundary_cube(n: int) -> PrecubicalSet:
     """The n-cube with its single top cell removed; boundary_cube(0) is empty."""
     if n < 0:
         raise ValueError("dimension must be non-negative")
-    return skeleton(standard_cube(n), n - 1) if n > 0 else PrecubicalSet({}, {})
+    return skeleton(standard_cube(n), n - 1) if n > 0 else _empty()
+
+
+def _empty() -> PrecubicalSet:
+    return PrecubicalSet._adopt({}, {}, True)
 
 
 def skeleton(K: PrecubicalSet, n: int) -> PrecubicalSet:
-    """The subcomplex of cells of dimension at most n."""
+    """The subcomplex of cells of dimension at most n; valid by
+    construction when K is known to be valid."""
     if n < 0:
-        return PrecubicalSet({}, {})
+        return _empty()
     cells = {d: K.cells(d) for d in range(min(n, K.top_dim) + 1)}
-    faces = {
-        key: value for key, value in K.face_map.items() if key[0] <= n
-    }
-    return PrecubicalSet(cells, faces)
+    faces = {key: value for key, value in K._faces.items() if key[0] <= n}
+    return PrecubicalSet._adopt(cells, faces, K._valid)
 
 
 def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
@@ -484,57 +510,63 @@ def pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
     Cells of K and M are tagged "K:..." and "M:..." and identified whenever
     they receive the same cell of L; each class is labeled by the
     lexicographically least tagged member, so output labels are
-    deterministic.  Raises ValueError if f or g fails to commute with faces
-    or the two sources differ.
+    deterministic.  Raises ValueError if the two sources differ, if K, M
+    or L is not a valid precubical set (naming its first violation), or
+    if f or g fails to commute with faces.  The result is valid by
+    construction.
     """
     if f.source != g.source:
         raise ValueError("pushout feet must share the same source")
+    K, M, L = f.target, g.target, f.source
+    for X in (K, M, L):
+        _require_valid(X)
     for name, h in (("f", f), ("g", g)):
         problems = h.defects()
         if problems:
             raise ValueError(f"{name} is not a precubical morphism: {problems[0]}")
 
-    K, M, L = f.target, g.target, f.source
+    # only the images of L's cells are ever identified; every other cell
+    # is a class of its own and keeps its tagged label
     uf = _UnionFind()
-    for dim in range(max(K.top_dim, M.top_dim) + 1):
-        for label in K.cells(dim):
-            uf.find((dim, "K", label))
-        for label in M.cells(dim):
-            uf.find((dim, "M", label))
     for cell in L.all_cells():
         key = (cell.dim, cell.label)
         uf.union((cell.dim, "K", f.mapping[key]), (cell.dim, "M", g.mapping[key]))
-
-    members: dict[tuple, list[tuple]] = {}
-    for node in list(uf.parent):
-        members.setdefault(uf.find(node), []).append(node)
-    class_label = {
-        root: min(f"{side}:{label}" for _, side, label in group)
-        for root, group in members.items()
-    }
+    tags: dict[tuple, list[str]] = {}
+    for node in uf.parent:
+        tags.setdefault(uf.find(node), []).append(f"{node[1]}:{node[2]}")
+    least = {root: min(group) for root, group in tags.items()}
+    renamed = {node: least[uf.find(node)] for node in uf.parent}
 
     cells: dict[int, list[str]] = {}
     faces = {}
-    for root, group in members.items():
-        dim = root[0]
-        cells.setdefault(dim, []).append(class_label[root])
-        if dim == 0:
-            continue
-        # faces are class-independent because f and g commute with faces;
-        # evaluate on the member the class is named after
-        _, side, label = min(group, key=lambda node: f"{node[1]}:{node[2]}")
-        complex_ = K if side == "K" else M
-        for i in range(1, dim + 1):
-            for alpha in (0, 1):
-                value = complex_.face_label(dim, label, i, alpha)
-                face_root = uf.find((dim - 1, side, value))
-                faces[(dim, i, alpha, class_label[root])] = class_label[face_root]
-    return PrecubicalSet(cells, faces)
+    named = set()
+    for dim in range(max(K.top_dim, M.top_dim) + 1):
+        out = cells[dim] = []
+        for side, complex_ in (("K", K), ("M", M)):
+            tag, table = side + ":", complex_._faces
+            for label in complex_.cells(dim):
+                name = renamed.get((dim, side, label))
+                if name is None:
+                    name = tag + label
+                elif name in named:
+                    continue
+                else:
+                    named.add(name)
+                out.append(name)
+                # faces are class-independent because f and g commute
+                # with faces, so the first member met names them
+                for i in range(1, dim + 1):
+                    for alpha in (0, 1):
+                        value = table[(dim, i, alpha, label)]
+                        faces[(dim, i, alpha, name)] = (
+                            renamed.get((dim - 1, side, value)) or tag + value
+                        )
+    return PrecubicalSet._adopt(cells, faces, True)
 
 
 def empty_map(K: PrecubicalSet) -> PcsMap:
     """The unique morphism from the empty precubical set into K."""
-    return PcsMap(PrecubicalSet({}, {}), K, {})
+    return PcsMap(_empty(), K, {})
 
 
 def disjoint_union(K: PrecubicalSet, M: PrecubicalSet) -> PrecubicalSet:
@@ -571,7 +603,7 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
                         faces[(p + q, i, alpha, label)] = f"{fx}|{y}"
                     for i, alpha, fy in right.get((q, y), ()):
                         faces[(p + q, p + i, alpha, label)] = f"{x}|{fy}"
-    return PrecubicalSet(cells, faces)
+    return PrecubicalSet._adopt(cells, faces, True)
 
 
 def find_isomorphism(K: PrecubicalSet, L: PrecubicalSet):
@@ -622,27 +654,39 @@ def find_isomorphism(K: PrecubicalSet, L: PrecubicalSet):
 
     # depth-first search over an explicit stack of (index, candidates, trail)
     # frames, one per cell whose image is chosen rather than forced; a frame
-    # met again after a dead end undoes its last choice and tries the next
+    # met again after a dead end undoes its last choice and tries the next.
+    # The L labels before a frame's scan start were all taken when it was
+    # pushed and stay taken while it lives, so the next frame of the same
+    # dimension scans on from there instead of from the first label.
     stack: list = []
+    starts: dict[int, list[int]] = {}
     index = 0
     while index < len(order):
         cell = order[index]
         if (cell.dim, cell.label) in assignment:
             index += 1
             continue
-        stack.append((index, iter(L.cells(cell.dim)), []))
+        labels = L.cells(cell.dim)
+        taken = used.setdefault(cell.dim, set())
+        live = starts.setdefault(cell.dim, [])
+        start = live[-1] if live else 0
+        while start < len(labels) and labels[start] in taken:
+            start += 1
+        live.append(start)
+        stack.append((index, map(labels.__getitem__, range(start, len(labels))), []))
         while stack:
             index, candidates, trail = stack[-1]
             cell = order[index]
             undo(trail)
             for candidate in candidates:
-                if candidate in used.setdefault(cell.dim, set()):
+                if candidate in used[cell.dim]:
                     continue
                 if propagate(cell, candidate, trail):
                     break
                 undo(trail)
             else:
                 stack.pop()
+                starts[cell.dim].pop()
                 continue
             break
         else:

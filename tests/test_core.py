@@ -411,6 +411,42 @@ class TestPushout:
         for _ in range(20):
             assert validate(random_glued_complex(rng)) == []
 
+    def test_labels_and_face_order_are_fixed(self):
+        # two squares glued along an edge: untouched cells keep their own
+        # tag, each glued class takes its least tagged member, and the face
+        # table lists classes by dimension, K's cells before M's, in label order
+        square, edge = standard_cube(2), standard_cube(1)
+        f = PcsMap(edge, square, {(1, "*"): "*1", (0, "0"): "01", (0, "1"): "11"})
+        g = PcsMap(edge, square, {(1, "*"): "*0", (0, "0"): "00", (0, "1"): "10"})
+        P = pushout(f, g)
+        assert {d: P.cells(d) for d in range(3)} == {
+            0: ("K:00", "K:01", "K:10", "K:11", "M:01", "M:11"),
+            1: ("K:*0", "K:*1", "K:0*", "K:1*", "M:*1", "M:0*", "M:1*"),
+            2: ("K:**", "M:**"),
+        }
+        assert list(P.face_map.items()) == [
+            ((1, 1, 0, "K:*0"), "K:00"), ((1, 1, 1, "K:*0"), "K:10"),
+            ((1, 1, 0, "K:*1"), "K:01"), ((1, 1, 1, "K:*1"), "K:11"),
+            ((1, 1, 0, "K:0*"), "K:00"), ((1, 1, 1, "K:0*"), "K:01"),
+            ((1, 1, 0, "K:1*"), "K:10"), ((1, 1, 1, "K:1*"), "K:11"),
+            ((1, 1, 0, "M:*1"), "M:01"), ((1, 1, 1, "M:*1"), "M:11"),
+            ((1, 1, 0, "M:0*"), "K:01"), ((1, 1, 1, "M:0*"), "M:01"),
+            ((1, 1, 0, "M:1*"), "K:11"), ((1, 1, 1, "M:1*"), "M:11"),
+            ((2, 1, 0, "K:**"), "K:0*"), ((2, 1, 1, "K:**"), "K:1*"),
+            ((2, 2, 0, "K:**"), "K:*0"), ((2, 2, 1, "K:**"), "K:*1"),
+            ((2, 1, 0, "M:**"), "M:0*"), ((2, 1, 1, "M:**"), "M:1*"),
+            ((2, 2, 0, "M:**"), "K:*1"), ((2, 2, 1, "M:**"), "M:*1"),
+        ]
+
+    def test_dangling_face_of_the_common_source_is_rejected(self):
+        # a mapping entry for the undeclared z would let f and g commute,
+        # but the images of z would never be identified
+        L = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "a", (1, 1, 1, "e"): "z"})
+        edge = standard_cube(1)
+        mapping = {(1, "e"): "*", (0, "a"): "0", (0, "z"): "1"}
+        with pytest.raises(ValueError, match=r"^cell \(1, 'e'\): face d\[1,1\] points at undeclared cell 'z'$"):
+            pushout(PcsMap(L, edge, mapping), PcsMap(L, edge, mapping))
+
 
 class TestTensor:
     def test_square_from_two_edges(self):
@@ -501,3 +537,37 @@ class TestIsomorphism:
         # every vertex is a free choice, so the search is 3,000 levels deep
         K = PrecubicalSet({0: [f"v{k}" for k in range(3000)]}, {})
         assert find_isomorphism(K, K) == {(0, v): v for v in K.cells(0)}
+
+    def test_free_choices_do_not_rescan_taken_labels(self):
+        # each candidate skipped as taken is a set lookup that hashes an L
+        # label; scanning every frame from the first label took n(n+1)/2
+        # lookups (4.5 million here), a scan that goes on from the previous
+        # frame's start takes a few per label
+        hashes = [0]
+
+        class Label(str):
+            def __hash__(self):
+                hashes[0] += 1
+                return str.__hash__(self)
+
+        n = 3000
+        K = PrecubicalSet({0: [f"v{k}" for k in range(n)]}, {})
+        L = PrecubicalSet({0: [Label(f"v{k}") for k in range(n)]}, {})
+        hashes[0] = 0
+        assert find_isomorphism(K, L) == {(0, v): v for v in K.cells(0)}
+        assert hashes[0] <= 10 * n
+
+    def test_free_choices_between_forced_ones(self):
+        # isolated vertices are free choices, chosen around the endpoints
+        # that the edges force; labels are taken in sorted order
+        def complex_(ends):
+            faces = {(1, 1, a, e): ends[e][a] for e in ends for a in (0, 1)}
+            return PrecubicalSet({0: list("abcdefgh"), 1: list(ends)}, faces)
+
+        K = complex_({"x": ("b", "d"), "y": ("e", "a"), "z": ("f", "f")})
+        L = complex_({"p": ("h", "c"), "q": ("a", "a"), "r": ("g", "b")})
+        assert find_isomorphism(K, L) == {
+            (1, "x"): "p", (1, "y"): "r", (1, "z"): "q",
+            (0, "a"): "b", (0, "b"): "h", (0, "c"): "d", (0, "d"): "c",
+            (0, "e"): "g", (0, "f"): "a", (0, "g"): "e", (0, "h"): "f",
+        }

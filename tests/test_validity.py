@@ -1,30 +1,45 @@
 """The one validity gate: every function that reads a complex's structure
-validates it once and raises ValueError naming the first violation."""
+validates it once and raises ValueError naming the first violation.  The
+builders that are valid by construction are never validated on use, and
+their results are checked here against validate and the checking
+constructor."""
 
+import random
 import re
+import subprocess
+import sys
 
 import pytest
 
 from precubical import (
     CellId,
+    PcsMap,
     PrecubicalSet,
     apply_cube_map,
+    boundary_cube,
     chain_complex,
     corner,
     count_flow_morphisms,
     cube_category,
+    disjoint_union,
     enumerate_path_classes,
+    generate,
     globular_decomposition,
     homology,
     parse,
     path_equal,
+    pushout,
     serialize,
+    skeleton,
     staircase,
     standard_cube,
     state_order,
     tensor,
+    torus,
+    validate,
 )
 from precubical import core
+from conftest import klein_bottle, random_glued_complex
 
 
 def corrupted_cube() -> PrecubicalSet:
@@ -83,18 +98,108 @@ def test_each_complex_is_validated_once(monkeypatch):
         calls.append(K)
         return original(K)
 
-    monkeypatch.setattr(core, "validate", counting)
-    K = standard_cube(4)
-    globular_decomposition(K)
-    homology(K)
-    homology(K)
-    enumerate_path_classes(K, "0000", "1111", 4)
-    state_order(K)
-    assert len(calls) == 1
+    def use(K, a, b):
+        globular_decomposition(K)
+        homology(K)
+        homology(K)
+        enumerate_path_classes(K, a, b, 4)
+        state_order(K)
 
+    monkeypatch.setattr(core, "validate", counting)
+    cube = standard_cube(4)
+    hand_built = PrecubicalSet({d: cube.cells(d) for d in range(5)}, cube.face_map)
+    use(hand_built, "0000", "1111")
+    assert calls == [hand_built]
+
+    # valid by construction: never validated, from construction on
     calls.clear()
+    use(standard_cube(4), "0000", "1111")
+    use(tensor(standard_cube(2), standard_cube(2)), "00|00", "11|11")
+    square, edge = standard_cube(2), standard_cube(1)
+    f = PcsMap(edge, square, {(1, "*"): "1*", (0, "0"): "10", (0, "1"): "11"})
+    g = PcsMap(edge, square, {(1, "*"): "0*", (0, "0"): "00", (0, "1"): "01"})
+    use(pushout(f, g), "K:00", "M:11")
+    assert calls == []
+
     parsed = parse(serialize(standard_cube(4)), check=True)
     globular_decomposition(parsed)
     homology(parsed)
     state_order(parsed)
     assert calls == []
+
+
+def trusted_results():
+    """(name, complex) for every builder that is valid by construction."""
+    yield from ((f"cube{n}", standard_cube(n)) for n in range(7))
+    yield from ((f"boundary{n}", boundary_cube(n)) for n in range(1, 7))
+    cube = standard_cube(5)
+    yield from ((f"skeleton{n}", skeleton(cube, n)) for n in range(-1, 6))
+    factors = {"torus": torus(2), "klein": klein_bottle(), "boundary3": boundary_cube(3)}
+    for a, K in factors.items():
+        for b, M in factors.items():
+            yield f"tensor-{a}-{b}", tensor(K, M)
+            yield f"disjoint-{a}-{b}", disjoint_union(K, M)
+    rng = random.Random(20261018)
+    yield from ((f"glued{k}", random_glued_complex(rng)) for k in range(200))
+    for family, params in (("cube", range(6)), ("boundary", range(6)), ("circle", [None]),
+                           ("torus", range(4)), ("cylinder", [None]), ("interval", range(5))):
+        yield from ((f"{family}{p}", generate(family, p)) for p in params)
+
+
+def test_trusted_builders_give_valid_complexes():
+    # validate runs in full whatever the complex remembers, and the checking
+    # constructor must accept the same cells and faces and give an equal complex
+    for name, X in trusted_results():
+        assert validate(X) == [], name
+        rebuilt = PrecubicalSet({d: X.cells(d) for d in range(X.top_dim + 1)}, X.face_map)
+        assert X == rebuilt, name
+
+
+def test_validate_checks_a_trusted_complex_in_full():
+    # the same defect as corrupted_cube, planted behind the builder's back
+    cube = standard_cube(3)
+    cube._faces[(3, 1, 0, "***")] = "*0*"
+    report = validate(cube)
+    assert report and report == validate(corrupted_cube())
+
+
+@pytest.mark.parametrize("make, message", INVALID.values(), ids=INVALID.keys())
+def test_skeleton_of_an_invalid_complex_is_gated(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        homology(skeleton(make(), 3))
+    # the defect sits on the top cell, so the 2-skeleton is valid
+    assert homology(skeleton(make(), 2)) == homology(boundary_cube(3))
+
+
+def test_tensor_label_collision_is_rejected():
+    left = PrecubicalSet({0: ["a", "a|b"]})
+    right = PrecubicalSet({0: ["c", "b|c"]})
+    with pytest.raises(ValueError, match=re.escape("duplicate labels in dimension 0: ['a|b|c']")):
+        tensor(left, right)
+
+
+# An edge e with d[1,0] = a and no d[1,1] entry, glued to a point over the
+# empty complex on the side given on the command line.
+BROKEN_FOOT = """
+import sys
+from precubical import PrecubicalSet, empty_map, pushout, standard_cube
+
+broken = PrecubicalSet({0: ["a", "b"], 1: ["e"]}, {(1, 1, 0, "e"): "a"})
+point = standard_cube(0)
+feet = (broken, point) if sys.argv[1] == "left" else (point, broken)
+try:
+    pushout(empty_map(feet[0]), empty_map(feet[1]))
+except ValueError as exc:
+    print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_pushout_gates_a_foot_with_a_missing_face(flags, side):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", BROKEN_FOOT, side],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ValueError: cell (1, 'e'): face d[1,1] is missing\n"
