@@ -539,8 +539,9 @@ def pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
 
     cells: dict[int, list[str]] = {}
     faces = {}
-    named = set()
     for dim in range(max(K.top_dim, M.top_dim) + 1):
+        # labels are unique only within a dimension, so are class names
+        named = set()
         out = cells[dim] = []
         for side, complex_ in (("K", K), ("M", M)):
             tag, table = side + ":", complex_._faces

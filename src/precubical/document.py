@@ -196,9 +196,10 @@ def parse(data, check: bool = True) -> PrecubicalSet:
 
 def circle() -> PrecubicalSet:
     """The directed circle: one vertex, one loop edge."""
-    return PrecubicalSet(
+    return PrecubicalSet._adopt(
         {0: ["v"], 1: ["loop"]},
         {(1, 1, 0, "loop"): "v", (1, 1, 1, "loop"): "v"},
+        True,
     )
 
 
@@ -230,7 +231,7 @@ def interval(k: int) -> PrecubicalSet:
         for i in range(k):
             faces[(1, 1, 0, f"{i}-{i + 1}")] = str(i)
             faces[(1, 1, 1, f"{i}-{i + 1}")] = str(i + 1)
-    return PrecubicalSet(cells, faces)
+    return PrecubicalSet._adopt(cells, faces, True)
 
 
 _FAMILIES = {

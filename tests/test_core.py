@@ -438,6 +438,30 @@ class TestPushout:
             ((2, 2, 0, "M:**"), "K:*1"), ((2, 2, 1, "M:**"), "M:*1"),
         ]
 
+    def test_glued_cells_of_two_dimensions_may_share_a_label(self):
+        # labels are unique only within a dimension: the glued vertex a and
+        # the glued edge a both name their class "K:a", and both are kept
+        K = PrecubicalSet({0: ["a", "b"], 1: ["a", "c"]}, {
+            (1, 1, 0, "a"): "a", (1, 1, 1, "a"): "b",
+            (1, 1, 0, "c"): "b", (1, 1, 1, "c"): "a",
+        })
+        f = PcsMap(standard_cube(1), K, {(0, "0"): "a", (0, "1"): "b", (1, "*"): "a"})
+        P = pushout(f, f)
+        assert {d: P.cells(d) for d in range(2)} == {
+            0: ("K:a", "K:b"),
+            1: ("K:a", "K:c", "M:c"),
+        }
+        assert list(P.face_map.items()) == [
+            ((1, 1, 0, "K:a"), "K:a"), ((1, 1, 1, "K:a"), "K:b"),
+            ((1, 1, 0, "K:c"), "K:b"), ((1, 1, 1, "K:c"), "K:a"),
+            ((1, 1, 0, "M:c"), "K:b"), ((1, 1, 1, "M:c"), "K:a"),
+        ]
+        loop = PrecubicalSet({0: ["a"], 1: ["a"]}, {(1, 1, 0, "a"): "a", (1, 1, 1, "a"): "a"})
+        identity = PcsMap(loop, loop, {(0, "a"): "a", (1, "a"): "a"})
+        assert pushout(identity, identity) == PrecubicalSet(
+            {0: ["K:a"], 1: ["K:a"]}, {(1, 1, 0, "K:a"): "K:a", (1, 1, 1, "K:a"): "K:a"}
+        )
+
     def test_dangling_face_of_the_common_source_is_rejected(self):
         # a mapping entry for the undeclared z would let f and g commute,
         # but the images of z would never be identified

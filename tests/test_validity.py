@@ -18,6 +18,7 @@ from precubical import (
     apply_cube_map,
     boundary_cube,
     chain_complex,
+    circle,
     corner,
     count_flow_morphisms,
     cube_category,
@@ -26,6 +27,7 @@ from precubical import (
     generate,
     globular_decomposition,
     homology,
+    interval,
     parse,
     path_equal,
     pushout,
@@ -119,6 +121,8 @@ def test_each_complex_is_validated_once(monkeypatch):
     f = PcsMap(edge, square, {(1, "*"): "1*", (0, "0"): "10", (0, "1"): "11"})
     g = PcsMap(edge, square, {(1, "*"): "0*", (0, "0"): "00", (0, "1"): "01"})
     use(pushout(f, g), "K:00", "M:11")
+    use(circle(), "v", "v")
+    use(interval(3), "0", "3")
     assert calls == []
 
     parsed = parse(serialize(standard_cube(4)), check=True)
