@@ -28,30 +28,100 @@ pure functions, so results are deterministic and safe to share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import attrgetter
 
 LETTERS = "01*"
 STAR = "*"
 
-
-@dataclass(frozen=True, order=True)
-class CellId:
-    """A cell, identified by its dimension and a label unique in that dimension."""
-
-    dim: int
-    label: str
+# sets a field of a _Value from its __init__, past the write guard
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class CubeWord:
+class _Value:
+    """Base of the immutable value classes.
+
+    A subclass names its fields, in constructor order, in _fields, keeps
+    them in __slots__ and sets them in its own __init__ with _set.  Two
+    values are equal when they are of the same class and their fields are
+    equal, and hash alike then; the repr lists the fields as
+    Name(field=value, ...).  Assignment and deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the field values, as a tuple when there are several; an
+        # attrgetter is no descriptor, so it is called as self._values(self)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots through here, not setattr
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class CellId(_Value):
+    """A cell, identified by its dimension and a label unique in that dimension.
+
+    Cells are ordered by dimension, then label.
+    """
+
+    __slots__ = _fields = ("dim", "label")
+
+    def __init__(self, dim: int, label: str):
+        _set(self, "dim", dim)
+        _set(self, "label", label)
+
+    def __lt__(self, other):
+        if other.__class__ is CellId:
+            return (self.dim, self.label) < (other.dim, other.label)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is CellId:
+            return (self.dim, self.label) <= (other.dim, other.label)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is CellId:
+            return (self.dim, self.label) > (other.dim, other.label)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is CellId:
+            return (self.dim, self.label) >= (other.dim, other.label)
+        return NotImplemented
+
+
+class CubeWord(_Value):
     """A morphism [m] -> [n] of the cube category, as a length-n word with m stars."""
 
-    letters: str
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self):
-        bad = set(self.letters) - set(LETTERS)
-        if bad:
-            raise ValueError(f"cube word may only contain 0, 1, *: {self.letters!r}")
+    def __init__(self, letters: str):
+        if set(letters) - set(LETTERS):
+            raise ValueError(f"cube word may only contain 0, 1, *: {letters!r}")
+        _set(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -95,8 +165,7 @@ def as_word(w: "CubeWord | str") -> CubeWord:
     return w if isinstance(w, CubeWord) else CubeWord(w)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     """One defect found by validate.
 
     kind is one of "missing-face" (no entry for a required face),
@@ -105,14 +174,19 @@ class Violation:
     Unused coordinate fields are None.
     """
 
-    kind: str
-    dim: int
-    cell: str
-    i: int | None = None
-    alpha: int | None = None
-    j: int | None = None
-    beta: int | None = None
-    detail: str = ""
+    __slots__ = _fields = ("kind", "dim", "cell", "i", "alpha", "j", "beta", "detail")
+
+    def __init__(self, kind: str, dim: int, cell: str, i: int | None = None,
+                 alpha: int | None = None, j: int | None = None,
+                 beta: int | None = None, detail: str = ""):
+        _set(self, "kind", kind)
+        _set(self, "dim", dim)
+        _set(self, "cell", cell)
+        _set(self, "i", i)
+        _set(self, "alpha", alpha)
+        _set(self, "j", j)
+        _set(self, "beta", beta)
+        _set(self, "detail", detail)
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind, "dim": self.dim, "cell": self.cell}
@@ -245,12 +319,16 @@ class PrecubicalSet:
         return self._faces.get((dim, i, alpha, label))
 
     def face(self, cell: CellId, i: int, alpha: int) -> CellId:
-        """d[i, alpha] of the cell, as a CellId of dimension cell.dim - 1."""
-        value = self._faces.get((cell.dim, i, alpha, cell.label))
+        """d[i, alpha] of the cell, as a CellId of dimension cell.dim - 1.
+
+        Raises ValueError naming the cell when it is undeclared or when the
+        face entry is missing or points at an undeclared cell.
+        """
+        if not self.has_cell(cell.dim, cell.label):
+            raise ValueError(f"undeclared cell ({cell.dim}, {cell.label!r})")
+        value, problem = _face_entry(self, cell.dim, cell.label, i, alpha)
         if value is None:
-            raise KeyError(
-                f"no face entry d[{i},{alpha}] for cell ({cell.dim}, {cell.label!r})"
-            )
+            raise ValueError(problem)
         return CellId(cell.dim - 1, value)
 
     @property
@@ -266,6 +344,18 @@ class PrecubicalSet:
     def __repr__(self) -> str:
         counts = ", ".join(str(c) for c in self.cell_counts())
         return f"PrecubicalSet(cells=({counts}))"
+
+
+def _face_entry(K: PrecubicalSet, dim: int, label: str, i: int, alpha: int):
+    """(d[i, alpha] of the cell, ""), or (None, why) when that entry is
+    missing or points at an undeclared cell, in the gate's words."""
+    value = K._faces.get((dim, i, alpha, label))
+    if value is None:
+        return None, f"cell ({dim}, {label!r}): face d[{i},{alpha}] is missing"
+    if value not in K._members.get(dim - 1, _NO_CELLS):
+        return None, (f"cell ({dim}, {label!r}): face d[{i},{alpha}] "
+                      f"points at undeclared cell {value!r}")
+    return value, ""
 
 
 def validate(K: PrecubicalSet) -> list[Violation]:
@@ -429,7 +519,8 @@ def cube_category(K: PrecubicalSet) -> tuple[tuple[CellId, CellId, CubeWord], ..
         for target in K.all_cells()
         for word in cube_words(target.dim)
     ]
-    return tuple(sorted(arrows, key=lambda a: (a[0], a[1], a[2].letters)))
+    return tuple(sorted(arrows, key=lambda a: (a[0].dim, a[0].label, a[1].dim, a[1].label,
+                                               a[2].letters)))
 
 
 class PcsMap:
@@ -457,7 +548,12 @@ class PcsMap:
         return CellId(cell.dim, self.mapping[(cell.dim, cell.label)])
 
     def defects(self) -> list[str]:
-        """Reasons this is not a morphism; empty when it is one."""
+        """Reasons this is not a morphism; empty when it is one.
+
+        A face entry of a source cell or of its image that is missing or
+        points at an undeclared cell is a defect, since the faces cannot
+        commute through it.
+        """
         problems = []
         for cell in self.source.all_cells():
             key = (cell.dim, cell.label)
@@ -472,8 +568,14 @@ class PcsMap:
                 continue
             for i in range(1, cell.dim + 1):
                 for alpha in (0, 1):
-                    src_face = self.source.face_label(cell.dim, cell.label, i, alpha)
-                    tgt_face = self.target.face_label(cell.dim, image, i, alpha)
+                    src_face, src_problem = _face_entry(self.source, cell.dim, cell.label,
+                                                        i, alpha)
+                    tgt_face, tgt_problem = _face_entry(self.target, cell.dim, image, i, alpha)
+                    for side, problem in (("source", src_problem), ("target", tgt_problem)):
+                        if problem:
+                            problems.append(f"{side} {problem}")
+                    if src_face is None or tgt_face is None:
+                        continue
                     mapped = self.mapping.get((cell.dim - 1, src_face))
                     if mapped != tgt_face:
                         problems.append(

@@ -33,68 +33,82 @@ globular.globular_decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
-from .core import CellId, PrecubicalSet, _UnionFind, _require_valid, apply_cube_map
+from .core import (CellId, PrecubicalSet, _UnionFind, _Value, _require_valid, _set,
+                   apply_cube_map)
 
 
-@dataclass(frozen=True)
-class EdgePath:
+class EdgePath(_Value):
     """A non-empty composable sequence of 1-cells, with its endpoints."""
 
-    edges: tuple[str, ...]
-    source: str
-    target: str
+    __slots__ = _fields = ("edges", "source", "target")
+
+    def __init__(self, edges: tuple[str, ...], source: str, target: str):
+        _set(self, "edges", edges)
+        _set(self, "source", source)
+        _set(self, "target", target)
 
     def __len__(self) -> int:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class PathClass:
+class PathClass(_Value):
     """An equivalence class of edge paths under square moves.
 
     All members share source, target and length; the representative is the
     lexicographically least member and size the number of members.  The
     member set is built on first use, from the level tables of the class
     pass that produced the class; a class built by hand without them knows
-    its members only when it has one.
+    its members only when it has one.  Equality, hashing and the repr
+    leave the level tables out.
     """
 
-    representative: tuple[str, ...]
-    source: str
-    target: str
-    length: int
-    size: int
-    _pass: object = field(default=None, repr=False, compare=False)
+    _fields = ("representative", "source", "target", "length", "size")
+    __slots__ = _fields + ("_pass", "_members")
 
-    @cached_property
+    def __init__(self, representative: tuple[str, ...], source: str, target: str,
+                 length: int, size: int, _pass=None):
+        _set(self, "representative", representative)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "length", length)
+        _set(self, "size", size)
+        _set(self, "_pass", _pass)
+        _set(self, "_members", None)
+
+    @property
     def members(self) -> frozenset:
-        if self.size == 1:
-            return frozenset({self.representative})
-        if self._pass is None:
-            raise ValueError("the members of a hand-built class of size > 1 are unknown")
-        return self._pass.members(self.representative)
+        if self._members is None:
+            if self.size == 1:
+                members = frozenset({self.representative})
+            elif self._pass is None:
+                raise ValueError("the members of a hand-built class of size > 1 are unknown")
+            else:
+                members = self._pass.members(self.representative)
+            _set(self, "_members", members)
+        return self._members
 
 
-@dataclass(frozen=True)
-class StatePoset:
+class StatePoset(_Value):
     """A strict partial order on the states: pairs (a, b) with a strictly below b."""
 
-    states: tuple[str, ...]
-    pairs: frozenset
+    __slots__ = _fields = ("states", "pairs")
+
+    def __init__(self, states: tuple[str, ...], pairs: frozenset):
+        _set(self, "states", states)
+        _set(self, "pairs", pairs)
 
     def less(self, a: str, b: str) -> bool:
         return (a, b) in self.pairs
 
 
-@dataclass(frozen=True)
-class LoopReport:
+class LoopReport(_Value):
     """Witness that the edge graph is not loopless: a directed cycle of edges."""
 
-    cycle: tuple[str, ...]
-    states: tuple[str, ...]
+    __slots__ = _fields = ("cycle", "states")
+
+    def __init__(self, cycle: tuple[str, ...], states: tuple[str, ...]):
+        _set(self, "cycle", cycle)
+        _set(self, "states", states)
 
 
 def realize_states(K: PrecubicalSet) -> frozenset:
@@ -161,7 +175,6 @@ def edge_path(K: PrecubicalSet, edges) -> EdgePath:
     return EdgePath(labels, source, cursor)
 
 
-@dataclass(frozen=True)
 class _Edges:
     """The edge table of K, built once per call.
 
@@ -169,11 +182,10 @@ class _Edges:
     out the numbers of the edges leaving each state, in label order.
     """
 
-    labels: tuple[str, ...]
-    number: dict
-    src: list
-    tgt: list
-    out: dict
+    __slots__ = ("labels", "number", "src", "tgt", "out")
+
+    def __init__(self, labels, number, src, tgt, out):
+        self.labels, self.number, self.src, self.tgt, self.out = labels, number, src, tgt, out
 
 
 def _edge_table(K: PrecubicalSet) -> _Edges:

@@ -15,14 +15,11 @@ fields are exported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import CellId, PrecubicalSet
+from .core import CellId, PrecubicalSet, _Value, _set
 from .flow import corner
 
 
-@dataclass(frozen=True)
-class FlowAtom:
+class FlowAtom(_Value):
     """The generating morphism diag(c) of one positive-dimensional cube c.
 
     It runs from the cube's all-zeros corner to its all-ones corner, and in
@@ -30,9 +27,12 @@ class FlowAtom:
     attached between those two vertices.
     """
 
-    cube: CellId
-    source: str
-    target: str
+    __slots__ = _fields = ("cube", "source", "target")
+
+    def __init__(self, cube: CellId, source: str, target: str):
+        _set(self, "cube", cube)
+        _set(self, "source", source)
+        _set(self, "target", target)
 
     @property
     def globe_dim(self) -> int:
@@ -48,16 +48,19 @@ class FlowAtom:
         }
 
 
-@dataclass(frozen=True)
-class GlobularDecomposition:
+class GlobularDecomposition(_Value):
     """The realized flow: its states plus its atoms grouped by skeletal stage.
 
     stages maps each cube dimension n >= 1 that has cells to the atoms of
     the n-cubes; there is exactly one atom per positive-dimensional cube of K.
+    It is not hashable, since stages is a dict.
     """
 
-    vertices: tuple[str, ...]
-    stages: dict
+    __slots__ = _fields = ("vertices", "stages")
+
+    def __init__(self, vertices: tuple[str, ...], stages: dict):
+        _set(self, "vertices", vertices)
+        _set(self, "stages", stages)
 
     def cells(self) -> tuple[FlowAtom, ...]:
         """All cells flattened in skeletal order."""

@@ -29,10 +29,9 @@ report reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, count
 
-from .core import PrecubicalSet, _require_valid
+from .core import PrecubicalSet, _Value, _require_valid, _set
 
 
 class ChainComplex:
@@ -226,12 +225,14 @@ def _diagonal_factors(entries: list[int]) -> tuple[int, ...]:
     return tuple(d)
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(_Value):
     """Betti numbers and torsion coefficients, indexed by dimension 0..top."""
 
-    betti: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("betti", "torsion")
+
+    def __init__(self, betti: tuple[int, ...], torsion: tuple[tuple[int, ...], ...]):
+        _set(self, "betti", betti)
+        _set(self, "torsion", torsion)
 
     def rows(self) -> list[dict]:
         return [

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, report stability."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -298,3 +299,20 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    """Every CLI command is a process of its own, so the import is on its
+    clock; dataclasses would load inspect, ast, dis and tokenize, and
+    generate the methods of each decorated class at import."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, precubical.cli; print(precubical.cli.__file__); "
+         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    path, loaded = proc.stdout.splitlines()
+    assert path.startswith(src + os.sep)
+    assert loaded == "[]"

@@ -323,6 +323,79 @@ class TestApplyCubeMap:
             apply_cube_map(standard_cube(2), CellId(2, "**"), "*")
 
 
+class TestFace:
+    @staticmethod
+    def edge(*ends) -> PrecubicalSet:
+        """One vertex a and an edge e whose d[1,0], d[1,1], ... are ends."""
+        return PrecubicalSet({0: ["a"], 1: ["e"]},
+                             {(1, 1, alpha, "e"): v for alpha, v in enumerate(ends)})
+
+    def test_valid_faces(self):
+        K = standard_cube(2)
+        assert K.face(CellId(2, "**"), 2, 1) == CellId(1, "*1")
+        assert K.face(CellId(1, "*1"), 1, 0) == CellId(0, "01")
+
+    def test_missing_entry_is_named(self):
+        K = self.edge("a")
+        with pytest.raises(ValueError, match=r"^cell \(1, 'e'\): face d\[1,1\] is missing$"):
+            K.face(CellId(1, "e"), 1, 1)
+        with pytest.raises(ValueError, match=r"^cell \(1, 'e'\): face d\[2,0\] is missing$"):
+            K.face(CellId(1, "e"), 2, 0)
+
+    def test_dangling_entry_is_named(self):
+        K = self.edge("a", "z")
+        with pytest.raises(
+            ValueError, match=r"^cell \(1, 'e'\): face d\[1,1\] points at undeclared cell 'z'$"
+        ):
+            K.face(CellId(1, "e"), 1, 1)
+        assert K.face(CellId(1, "e"), 1, 0) == CellId(0, "a")
+
+    def test_undeclared_cell_is_named(self):
+        with pytest.raises(ValueError, match=r"^undeclared cell \(1, 'x'\)$"):
+            standard_cube(1).face(CellId(1, "x"), 1, 0)
+
+
+class TestPcsMapDefects:
+    def test_dangling_source_face_is_a_defect(self):
+        # a mapping entry for the undeclared z made both feet of d[1,1]
+        # agree, so this map passed as a morphism
+        L = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "a", (1, 1, 1, "e"): "z"})
+        h = PcsMap(L, standard_cube(1), {(1, "e"): "*", (0, "a"): "0", (0, "z"): "1"})
+        assert not h.is_valid
+        assert h.defects() == ["source cell (1, 'e'): face d[1,1] points at undeclared cell 'z'"]
+
+    def test_missing_faces_on_both_sides_are_defects(self):
+        # None == None used to pass as commuting faces
+        half = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "a"})
+        h = PcsMap(half, half, {(0, "a"): "a", (1, "e"): "e"})
+        assert h.defects() == [
+            "source cell (1, 'e'): face d[1,1] is missing",
+            "target cell (1, 'e'): face d[1,1] is missing",
+        ]
+
+    def test_dangling_target_face_is_a_defect(self):
+        T = PrecubicalSet({0: ["0", "1"], 1: ["*"]}, {(1, 1, 0, "*"): "0", (1, 1, 1, "*"): "q"})
+        h = PcsMap(standard_cube(1), T, {(0, "0"): "0", (0, "1"): "1", (1, "*"): "*"})
+        assert h.defects() == [
+            "target cell (1, '*'): face d[1,1] points at undeclared cell 'q'"
+        ]
+
+    def test_valid_maps_have_no_defects(self, corpus_complex):
+        _, K = corpus_complex
+        assert PcsMap.identity(K).defects() == []
+        assert PcsMap.inclusion(skeleton(K, 1), K).defects() == []
+
+    def test_non_commuting_faces_keep_their_message(self):
+        edge = standard_cube(1)
+        bad = PcsMap(edge, edge, {(0, "0"): "0", (0, "1"): "0", (1, "*"): "*"})
+        assert bad.defects() == ["faces do not commute at (1, '*'), d[1,1]: '0' != '1'"]
+        with pytest.raises(ValueError) as info:
+            pushout(bad, PcsMap.identity(edge))
+        assert str(info.value) == (
+            "f is not a precubical morphism: faces do not commute at (1, '*'), d[1,1]: '0' != '1'"
+        )
+
+
 class TestCubeCategory:
     @staticmethod
     def non_identity(arrows):
