@@ -23,6 +23,11 @@ using another convention will disagree by a relabeling of face indices.
 
 Everything here is finite and immutable after construction; operations are
 pure functions, so results are deterministic and safe to share.
+
+A complex keeps its faces in one private table, owned by this module: for
+each dimension n >= 1 a row per n-cell, the tuple of its 2n faces with
+d[i, alpha] at slot 2*(i-1) + alpha, and None where a hand-built or parsed
+complex has no entry.  Other modules read the rows through _face_rows.
 """
 
 from __future__ import annotations
@@ -226,6 +231,9 @@ class PrecubicalSet:
     and cubical-relation failures are the business of validate, so that
     broken inputs can be represented and reported.
 
+    face_map lists the entries in canonical order, by dimension, label, i
+    and alpha, whatever order they were given in.
+
     The builders standard_cube, boundary_cube, skeleton (of a complex
     known to be valid), tensor, pushout, disjoint_union, circle, interval,
     torus and cylinder return complexes that are valid by construction:
@@ -234,19 +242,26 @@ class PrecubicalSet:
     """
 
     def __init__(self, cells, faces=None):
+        self._place(dict(cells), dict(faces or {}).items())
+
+    def _place(self, cells, entries) -> None:
+        """Fill self from cells and ((dim, i, alpha, label), value) face
+        entries through the structural checks of the constructor and of
+        parse, raising ValueError at the first failure."""
         checked: dict[int, list[str]] = {}
-        for dim, labels in dict(cells).items():
+        for dim, labels in cells.items():
             if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
                 raise ValueError(f"cell dimension must be a non-negative int: {dim!r}")
             labels = checked[dim] = list(labels)
             for lab in labels:
                 if not isinstance(lab, str):
                     raise ValueError(f"cell label must be a string: {lab!r}")
-        self._fill(checked, {}, valid=False)
+        self._fill(checked, None, valid=False)
 
-        members, face_map = self._members, self._faces
-        for key, value in dict(faces or {}).items():
-            dim, i, alpha, label = key
+        members = self._members
+        rows = {dim: {label: [None] * (2 * dim) for label in labels}
+                for dim, labels in self._cells.items() if dim}
+        for (dim, i, alpha, label), value in entries:
             if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
                 raise ValueError(f"face dimension must be an int >= 1: {dim!r}")
             if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= dim:
@@ -257,18 +272,23 @@ class PrecubicalSet:
                 raise ValueError(f"face keyed on undeclared cell ({dim}, {label!r})")
             if not isinstance(value, str):
                 raise ValueError(f"face value must be a label string: {value!r}")
-            face_map[(dim, i, alpha, label)] = value
+            row = rows[dim][label]
+            if row[2 * i - 2 + alpha] is not None:
+                raise ValueError(f"face d[{i},{alpha}] of cell ({dim}, {label!r}) given twice")
+            row[2 * i - 2 + alpha] = value
+        self._rows = {dim: {label: tuple(row) for label, row in table.items()}
+                      for dim, table in rows.items()}
 
     @classmethod
-    def _adopt(cls, cells, faces, valid: bool) -> "PrecubicalSet":
-        """A complex owning the given cells and faces dicts, without the
+    def _adopt(cls, cells, rows, valid: bool) -> "PrecubicalSet":
+        """A complex owning the given cells dict and face rows, without the
         constructor's per-entry checks; valid says whether the builder
-        guarantees the precubical axioms."""
+        guarantees the precubical axioms.  rows has a row for each cell."""
         K = cls.__new__(cls)
-        K._fill(cells, faces, valid)
+        K._fill(cells, rows, valid)
         return K
 
-    def _fill(self, cells, faces, valid: bool) -> None:
+    def _fill(self, cells, rows, valid: bool) -> None:
         normalized: dict[int, tuple[str, ...]] = {}
         members: dict[int, frozenset] = {}
         for dim, labels in cells.items():
@@ -284,7 +304,7 @@ class PrecubicalSet:
         # one hashed copy of each dimension's labels, for membership tests
         self._members = members
         self._top_dim = max(normalized, default=-1)
-        self._faces = faces
+        self._rows = rows
         # set by validate and by the builders that are valid by
         # construction; a complex known to be valid is never checked again
         self._valid = valid
@@ -316,7 +336,10 @@ class PrecubicalSet:
 
     def face_label(self, dim: int, label: str, i: int, alpha: int) -> str | None:
         """Label of d[i, alpha] of the cell, or None if the entry is absent."""
-        return self._faces.get((dim, i, alpha, label))
+        row = _face_rows(self, dim).get(label)
+        if row is None or not 1 <= i <= dim or alpha not in (0, 1):
+            return None
+        return row[2 * i - 2 + alpha]
 
     def face(self, cell: CellId, i: int, alpha: int) -> CellId:
         """d[i, alpha] of the cell, as a CellId of dimension cell.dim - 1.
@@ -333,23 +356,31 @@ class PrecubicalSet:
 
     @property
     def face_map(self) -> dict[tuple[int, int, int, str], str]:
-        """Copy of the raw face table, keyed (dim, i, alpha, label)."""
-        return dict(self._faces)
+        """The face entries as a new dict keyed (dim, i, alpha, label), in
+        canonical order: by dimension, label, i, then alpha."""
+        return {(dim, slot // 2 + 1, slot % 2, label): value
+                for dim in sorted(self._rows) for label in self._cells[dim]
+                for slot, value in enumerate(self._rows[dim][label]) if value is not None}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrecubicalSet):
             return NotImplemented
-        return self._cells == other._cells and self._faces == other._faces
+        return self._cells == other._cells and self._rows == other._rows
 
     def __repr__(self) -> str:
         counts = ", ".join(str(c) for c in self.cell_counts())
         return f"PrecubicalSet(cells=({counts}))"
 
 
+def _face_rows(K: PrecubicalSet, dim: int) -> dict:
+    """label -> face row of each dim-cell of K (none in dimension 0); read only."""
+    return K._rows.get(dim, {})
+
+
 def _face_entry(K: PrecubicalSet, dim: int, label: str, i: int, alpha: int):
     """(d[i, alpha] of the cell, ""), or (None, why) when that entry is
-    missing or points at an undeclared cell, in the gate's words."""
-    value = K._faces.get((dim, i, alpha, label))
+    missing or points at an undeclared cell: the one wording of that fault."""
+    value = K.face_label(dim, label, i, alpha)
     if value is None:
         return None, f"cell ({dim}, {label!r}): face d[{i},{alpha}] is missing"
     if value not in K._members.get(dim - 1, _NO_CELLS):
@@ -369,55 +400,42 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     complex that is valid by construction.  K remembers the verdict, so
     _require_valid checks it only once.
     """
-    faces = K._faces
+    members = K._members
     report: list[Violation] = []
-    # rows[dim][label][2*(i-1) + alpha] is d[i, alpha] of the cell, or None
-    # when that entry is missing or dangling; each entry is looked up once
-    rows: dict[int, dict[str, list]] = {}
     for dim in range(1, K.top_dim + 1):
-        below = K._members.get(dim - 1, _NO_CELLS)
-        table = rows[dim] = {}
+        below, table = members.get(dim - 1, _NO_CELLS), _face_rows(K, dim)
         for label in K.cells(dim):
-            row = table[label] = []
-            for i in range(1, dim + 1):
-                for alpha in (0, 1):
-                    value = faces.get((dim, i, alpha, label))
-                    if value is None:
-                        report.append(Violation("missing-face", dim, label, i=i, alpha=alpha))
-                    elif value not in below:
-                        report.append(
-                            Violation(
-                                "dangling-face", dim, label, i=i, alpha=alpha,
-                                detail=f"points at undeclared cell {value!r}",
-                            )
-                        )
-                        value = None
-                    row.append(value)
+            for slot, value in enumerate(table[label]):
+                if value is None:
+                    report.append(Violation("missing-face", dim, label, slot // 2 + 1, slot % 2))
+                elif value not in below:
+                    report.append(Violation("dangling-face", dim, label, slot // 2 + 1, slot % 2,
+                                            detail=f"points at undeclared cell {value!r}"))
 
+    # a relation instance is checked only when its four ingredient faces
+    # are declared cells; a missing or dangling one is reported above
     for dim in range(2, K.top_dim + 1):
-        lower = rows[dim - 1]
-        for label, row in rows[dim].items():
+        lower, table = _face_rows(K, dim - 1), _face_rows(K, dim)
+        mid, low = members.get(dim - 1, _NO_CELLS), members.get(dim - 2, _NO_CELLS)
+        for label in K.cells(dim):
+            row = table[label]
             for j in range(2, dim + 1):
                 for i in range(1, j):
                     for alpha in (0, 1):
                         ia = row[2 * i - 2 + alpha]
+                        if ia not in mid:
+                            continue
                         for beta in (0, 1):
                             jb = row[2 * j - 2 + beta]
-                            if jb is None or ia is None:
+                            if jb not in mid:
                                 continue
                             left = lower[jb][2 * i - 2 + alpha]
                             right = lower[ia][2 * j - 4 + beta]
-                            if left is None or right is None:
-                                continue
-                            if left != right:
-                                report.append(
-                                    Violation(
-                                        "cubical-relation", dim, label,
-                                        i=i, alpha=alpha, j=j, beta=beta,
-                                        detail=f"d[{i},{alpha}]d[{j},{beta}] = {left!r} "
-                                               f"but d[{j-1},{beta}]d[{i},{alpha}] = {right!r}",
-                                    )
-                                )
+                            if left != right and left in low and right in low:
+                                report.append(Violation(
+                                    "cubical-relation", dim, label, i, alpha, j, beta,
+                                    f"d[{i},{alpha}]d[{j},{beta}] = {left!r} "
+                                    f"but d[{j-1},{beta}]d[{i},{alpha}] = {right!r}"))
     K._valid = not report
     return report
 
@@ -430,9 +448,8 @@ def _require_valid(K: PrecubicalSet) -> None:
     report = validate(K)
     if report:
         v = report[0]
-        problem = (v.detail if v.kind == "cubical-relation"
-                   else f"face d[{v.i},{v.alpha}] {v.detail or 'is missing'}")
-        raise ValueError(f"cell ({v.dim}, {v.cell!r}): {problem}")
+        raise ValueError(f"cell ({v.dim}, {v.cell!r}): {v.detail}" if v.kind == "cubical-relation"
+                         else _face_entry(K, v.dim, v.cell, v.i, v.alpha)[1])
 
 
 def cube_words(n: int):
@@ -446,17 +463,15 @@ def standard_cube(n: int) -> PrecubicalSet:
     if n < 0:
         raise ValueError("dimension must be non-negative")
     cells: dict[int, list[str]] = {k: [] for k in range(n + 1)}
-    faces = {}
+    rows: dict[int, dict[str, tuple]] = {k: {} for k in range(1, n + 1)}
     for word in cube_words(n):
         stars = [pos for pos, ch in enumerate(word) if ch == STAR]
-        k = len(stars)
-        cells[k].append(word)
-        # the (i, alpha) face replaces the i-th star, left to right, with alpha
-        for i, pos in enumerate(stars, 1):
-            head, tail = word[:pos], word[pos + 1 :]
-            faces[(k, i, 0, word)] = head + "0" + tail
-            faces[(k, i, 1, word)] = head + "1" + tail
-    return PrecubicalSet._adopt(cells, faces, True)
+        cells[len(stars)].append(word)
+        if stars:
+            # the (i, alpha) face replaces the i-th star, left to right, with alpha
+            rows[len(stars)][word] = tuple(word[:pos] + alpha + word[pos + 1:]
+                                           for pos in stars for alpha in "01")
+    return PrecubicalSet._adopt(cells, rows, True)
 
 
 def boundary_cube(n: int) -> PrecubicalSet:
@@ -476,8 +491,9 @@ def skeleton(K: PrecubicalSet, n: int) -> PrecubicalSet:
     if n < 0:
         return _empty()
     cells = {d: K.cells(d) for d in range(min(n, K.top_dim) + 1)}
-    faces = {key: value for key, value in K._faces.items() if key[0] <= n}
-    return PrecubicalSet._adopt(cells, faces, K._valid)
+    # rows are never changed after construction, so the two complexes share them
+    rows = {d: table for d, table in K._rows.items() if d <= n}
+    return PrecubicalSet._adopt(cells, rows, K._valid)
 
 
 def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
@@ -502,7 +518,7 @@ def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
             return CellId(dim, label)
         # w factors as (insert letter at pos) o (rest of the word), so the
         # presheaf applies the face first and the remaining word after
-        label = K._faces[(dim, pos + 1, int(letters[pos]), label)]
+        label = K._rows[dim][label][2 * pos + int(letters[pos])]
         dim -= 1
         letters = letters[:pos] + letters[pos + 1 :]
 
@@ -537,7 +553,7 @@ class PcsMap:
 
     @classmethod
     def identity(cls, K: PrecubicalSet) -> "PcsMap":
-        return cls(K, K, {(c.dim, c.label): c.label for c in K.all_cells()})
+        return cls.inclusion(K, K)
 
     @classmethod
     def inclusion(cls, sub: PrecubicalSet, K: PrecubicalSet) -> "PcsMap":
@@ -545,7 +561,10 @@ class PcsMap:
         return cls(sub, K, {(c.dim, c.label): c.label for c in sub.all_cells()})
 
     def __call__(self, cell: CellId) -> CellId:
-        return CellId(cell.dim, self.mapping[(cell.dim, cell.label)])
+        image = self.mapping.get((cell.dim, cell.label))
+        if image is None:
+            raise ValueError(f"cell ({cell.dim}, {cell.label!r}) has no image")
+        return CellId(cell.dim, image)
 
     def defects(self) -> list[str]:
         """Reasons this is not a morphism; empty when it is one.
@@ -640,13 +659,13 @@ def pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
     renamed = {node: least[uf.find(node)] for node in uf.parent}
 
     cells: dict[int, list[str]] = {}
-    faces = {}
+    rows: dict[int, dict[str, tuple]] = {}
     for dim in range(max(K.top_dim, M.top_dim) + 1):
         # labels are unique only within a dimension, so are class names
         named = set()
         out = cells[dim] = []
         for side, complex_ in (("K", K), ("M", M)):
-            tag, table = side + ":", complex_._faces
+            tag, table = side + ":", _face_rows(complex_, dim)
             for label in complex_.cells(dim):
                 name = renamed.get((dim, side, label))
                 if name is None:
@@ -658,13 +677,11 @@ def pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
                 out.append(name)
                 # faces are class-independent because f and g commute
                 # with faces, so the first member met names them
-                for i in range(1, dim + 1):
-                    for alpha in (0, 1):
-                        value = table[(dim, i, alpha, label)]
-                        faces[(dim, i, alpha, name)] = (
-                            renamed.get((dim - 1, side, value)) or tag + value
-                        )
-    return PrecubicalSet._adopt(cells, faces, True)
+                if dim:
+                    rows.setdefault(dim, {})[name] = tuple(
+                        renamed.get((dim - 1, side, value)) or tag + value
+                        for value in table[label])
+    return PrecubicalSet._adopt(cells, rows, True)
 
 
 def empty_map(K: PrecubicalSet) -> PcsMap:
@@ -684,29 +701,23 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
     i <= p and on the right factor, with the index shifted by p, otherwise.
     An invalid factor raises ValueError naming its first violation.
     """
-    def face_rows(M):
-        # (dim, label) -> [(i, alpha, face label)], each entry read once
-        _require_valid(M)
-        return {
-            (n, x): [(i, alpha, M._faces[(n, i, alpha, x)])
-                     for i in range(1, n + 1) for alpha in (0, 1)]
-            for n in range(1, M.top_dim + 1) for x in M.cells(n)
-        }
-
-    left, right = face_rows(K), face_rows(L)
+    _require_valid(K)
+    _require_valid(L)
     cells: dict[int, list[str]] = {}
-    faces = {}
+    rows: dict[int, dict[str, tuple]] = {}
     for p in range(K.top_dim + 1):
         for q in range(L.top_dim + 1):
+            left, right = _face_rows(K, p), _face_rows(L, q)
             for x in K.cells(p):
                 for y in L.cells(q):
                     label = f"{x}|{y}"
                     cells.setdefault(p + q, []).append(label)
-                    for i, alpha, fx in left.get((p, x), ()):
-                        faces[(p + q, i, alpha, label)] = f"{fx}|{y}"
-                    for i, alpha, fy in right.get((q, y), ()):
-                        faces[(p + q, p + i, alpha, label)] = f"{x}|{fy}"
-    return PrecubicalSet._adopt(cells, faces, True)
+                    if p + q:
+                        # the left factor's faces fill the first 2p slots of the row
+                        rows.setdefault(p + q, {})[label] = (
+                            tuple(f"{fx}|{y}" for fx in left.get(x, ()))
+                            + tuple(f"{x}|{fy}" for fy in right.get(y, ())))
+    return PrecubicalSet._adopt(cells, rows, True)
 
 
 def find_isomorphism(K: PrecubicalSet, L: PrecubicalSet):
@@ -740,14 +751,12 @@ def find_isomorphism(K: PrecubicalSet, L: PrecubicalSet):
             assignment[key] = im
             used[c.dim].add(im)
             trail.append(key)
-            for i in range(1, c.dim + 1):
-                for alpha in (0, 1):
-                    kf = K.face_label(c.dim, c.label, i, alpha)
-                    lf = L.face_label(c.dim, im, i, alpha)
-                    if (kf is None) != (lf is None):
-                        return False
-                    if kf is not None:
-                        stack.append((CellId(c.dim - 1, kf), lf))
+            krow = _face_rows(K, c.dim).get(c.label, ())
+            lrow = _face_rows(L, c.dim).get(im, ())
+            if [f is None for f in krow] != [f is None for f in lrow]:
+                return False
+            stack.extend((CellId(c.dim - 1, kf), lf)
+                         for kf, lf in zip(krow, lrow) if kf is not None)
         return True
 
     def undo(trail: list):

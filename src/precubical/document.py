@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .core import PrecubicalSet, standard_cube, boundary_cube, tensor, validate
+from .core import PrecubicalSet, _face_rows, standard_cube, boundary_cube, tensor, validate
 
 FORMAT_VERSION = "1"
 
@@ -65,19 +65,18 @@ def serialize(K: PrecubicalSet) -> str:
         % (d, ",\n".join("      " + quoted[label] for label in K.cells(d)))
         for d in sorted(dims, key=str)
     ]
-    # walking the sorted labels and (i, alpha) in order visits the face
-    # entries in canonical order, since every entry sits on a declared cell
-    table = K.face_map
+    # walking the sorted labels and each face row in slot order visits the
+    # face entries in canonical order
     records = []
-    for d in dims:
+    for d in range(1, K.top_dim + 1):
+        rows = _face_rows(K, d)
+        slots = [(i, alpha) for i in range(1, d + 1) for alpha in (0, 1)]
         for label in K.cells(d):
             cell = quoted[label]
-            for i in range(1, d + 1):
-                for alpha in (0, 1):
-                    value = table.get((d, i, alpha, label))
-                    if value is not None:
-                        text = quoted.get(value) or quote(value)
-                        records.append(_FACE_RECORD % (alpha, cell, d, i, text))
+            for (i, alpha), value in zip(slots, rows[label]):
+                if value is not None:
+                    text = quoted.get(value) or quote(value)
+                    records.append(_FACE_RECORD % (alpha, cell, d, i, text))
     return '{\n  "cells": %s,\n  "faces": %s,\n  "format_version": %s,\n  "top_dim": %d\n}\n' % (
         "{\n" + ",\n".join(cells) + "\n  }" if cells else "{}",
         "[\n" + ",\n".join(records) + "\n  ]" if records else "[]",
@@ -151,8 +150,8 @@ def parse(data, check: bool = True) -> PrecubicalSet:
                 raise FormatError(f"cell label is not a string: {label!r}")
         cells[dim] = labels
 
-    faces = {}
-    for record in tree["faces"]:
+    records = tree["faces"]
+    for record in records:
         if not isinstance(record, dict):
             raise FormatError(f"face record must be an object: {record!r}")
         if record.keys() != _FACE_KEYS:
@@ -167,13 +166,16 @@ def parse(data, check: bool = True) -> PrecubicalSet:
         for field in ("cell", "value"):
             if type(record[field]) is not str:
                 raise FormatError(f"face field {field!r} must be a string: {record!r}")
-        faces[(record["dim"], record["i"], record["alpha"], record["cell"])] = record["value"]
-    if len(faces) != len(tree["faces"]):
-        raise FormatError("duplicate face records for the same (dim, i, alpha, cell)")
 
+    # the records go straight into the face rows, through the constructor's
+    # structural checks; duplicate records are reported before any of those
+    K = PrecubicalSet.__new__(PrecubicalSet)
     try:
-        K = PrecubicalSet(cells, faces)
+        K._place(cells, (((r["dim"], r["i"], r["alpha"], r["cell"]), r["value"]) for r in records))
     except ValueError as exc:
+        if len({(r["dim"], r["i"], r["alpha"], r["cell"]) for r in records}) != len(records):
+            message = "duplicate face records for the same (dim, i, alpha, cell)"
+            raise FormatError(message) from None
         raise FormatError(f"malformed document: {exc}") from exc
     top_dim = tree["top_dim"]
     if not isinstance(top_dim, int) or isinstance(top_dim, bool):
@@ -196,11 +198,7 @@ def parse(data, check: bool = True) -> PrecubicalSet:
 
 def circle() -> PrecubicalSet:
     """The directed circle: one vertex, one loop edge."""
-    return PrecubicalSet._adopt(
-        {0: ["v"], 1: ["loop"]},
-        {(1, 1, 0, "loop"): "v", (1, 1, 1, "loop"): "v"},
-        True,
-    )
+    return PrecubicalSet._adopt({0: ["v"], 1: ["loop"]}, {1: {"loop": ("v", "v")}}, True)
 
 
 def torus(d: int) -> PrecubicalSet:
@@ -224,14 +222,10 @@ def interval(k: int) -> PrecubicalSet:
     """The directed path with k edges and k + 1 vertices."""
     if k < 0:
         raise ValueError("interval length must be non-negative")
-    cells = {0: [str(i) for i in range(k + 1)]}
-    faces = {}
-    if k > 0:
-        cells[1] = [f"{i}-{i + 1}" for i in range(k)]
-        for i in range(k):
-            faces[(1, 1, 0, f"{i}-{i + 1}")] = str(i)
-            faces[(1, 1, 1, f"{i}-{i + 1}")] = str(i + 1)
-    return PrecubicalSet._adopt(cells, faces, True)
+    # an edge's face row is (source, target)
+    edges = {f"{i}-{i + 1}": (str(i), str(i + 1)) for i in range(k)}
+    return PrecubicalSet._adopt({0: [str(i) for i in range(k + 1)], 1: list(edges)},
+                                {1: edges} if k else {}, True)
 
 
 _FAMILIES = {

@@ -33,7 +33,7 @@ globular.globular_decomposition.
 
 from __future__ import annotations
 
-from .core import (CellId, PrecubicalSet, _UnionFind, _Value, _require_valid, _set,
+from .core import (CellId, PrecubicalSet, _UnionFind, _Value, _face_rows, _require_valid, _set,
                    apply_cube_map)
 
 
@@ -127,7 +127,7 @@ def corner(K: PrecubicalSet, c: CellId, alpha: int) -> str:
     _require_valid(K)
     label = c.label
     for n in range(c.dim, 0, -1):
-        label = K._faces[(n, 1, alpha, label)]
+        label = _face_rows(K, n)[label][alpha]
     return label
 
 
@@ -153,7 +153,7 @@ def _edge_ends(K: PrecubicalSet, label: str) -> tuple[str, str]:
     """The source and target states of an edge of a valid K."""
     if not K.has_cell(1, label):
         raise ValueError(f"not a 1-cell: {label!r}")
-    return K._faces[(1, 1, 0, label)], K._faces[(1, 1, 1, label)]
+    return _face_rows(K, 1)[label]
 
 
 def edge_path(K: PrecubicalSet, edges) -> EdgePath:
@@ -192,9 +192,9 @@ def _edge_table(K: PrecubicalSet) -> _Edges:
     _require_valid(K)
     labels = K.cells(1)
     out: dict[str, list[int]] = {state: [] for state in K.cells(0)}
-    faces = K._faces
-    src = [faces[(1, 1, 0, e)] for e in labels]
-    tgt = [faces[(1, 1, 1, e)] for e in labels]
+    rows = _face_rows(K, 1)
+    src = [rows[e][0] for e in labels]
+    tgt = [rows[e][1] for e in labels]
     for n, s in enumerate(src):
         out[s].append(n)
     return _Edges(labels, {e: n for n, e in enumerate(labels)}, src, tgt, out)
@@ -209,10 +209,11 @@ def _square_moves(K: PrecubicalSet, edges: _Edges) -> dict:
     relations make each an edge path, and both run between the same corners.
     """
     moves: dict[int, list[tuple]] = {}
-    number, faces = edges.number, K._faces
+    number, rows = edges.number, _face_rows(K, 2)
     for s in K.cells(2):
-        x, y = number[faces[(2, 2, 0, s)]], number[faces[(2, 1, 1, s)]]
-        x2, y2 = number[faces[(2, 1, 0, s)]], number[faces[(2, 2, 1, s)]]
+        d10, d11, d20, d21 = rows[s]
+        x, y = number[d20], number[d11]
+        x2, y2 = number[d10], number[d21]
         moves.setdefault(x, []).append((y, x2, y2))
         moves.setdefault(x2, []).append((y2, x, y))
     return moves
@@ -498,4 +499,4 @@ def state_order(K: PrecubicalSet):
 
 def map_path(f, p: EdgePath) -> EdgePath:
     """Push an edge path forward along a precubical morphism."""
-    return edge_path(f.target, tuple(f.mapping[(1, e)] for e in p.edges))
+    return edge_path(f.target, tuple(f(CellId(1, e)).label for e in p.edges))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from itertools import compress, count
 
-from .core import PrecubicalSet, _Value, _require_valid, _set
+from .core import PrecubicalSet, _Value, _face_rows, _require_valid, _set
 
 
 class ChainComplex:
@@ -69,15 +69,18 @@ def chain_complex(K: PrecubicalSet) -> ChainComplex:
     one raises ValueError naming its first violation."""
     _require_valid(K)
     basis = {d: K.cells(d) for d in range(K.top_dim + 1)}
-    faces = K._faces
     boundary = {}
     for d in range(1, K.top_dim + 1):
         rows = [{} for _ in basis[d - 1]]
         row_of = dict(zip(basis[d - 1], rows))
-        signs = [(i, alpha, (-1) ** (i + alpha + 1)) for i in range(1, d + 1) for alpha in (1, 0)]
+        faces = _face_rows(K, d)
+        # (slot of d[i, alpha] in a face row, sign of that face)
+        signs = [(2 * i - 2 + alpha, (-1) ** (i + alpha + 1))
+                 for i in range(1, d + 1) for alpha in (1, 0)]
         for col, label in enumerate(basis[d]):
-            for i, alpha, sign in signs:
-                row = row_of[faces[(d, i, alpha, label)]]
+            face = faces[label]
+            for slot, sign in signs:
+                row = row_of[face[slot]]
                 # a loop's two ends cancel: drop the 0, never store it
                 v = row.get(col, 0) + sign
                 if v:

@@ -355,6 +355,53 @@ class TestFace:
             standard_cube(1).face(CellId(1, "x"), 1, 0)
 
 
+class TestFaceStorage:
+    """Faces are stored one row per cell, so the face table reads back in
+    canonical order whatever order the entries came in."""
+
+    CELLS = {0: ["b", "a"], 1: ["f", "e"], 2: ["s"]}
+    # d[1,1] of e and d[1,1] of s are missing; the order is not canonical
+    ENTRIES = [((2, 2, 1, "s"), "f"), ((1, 1, 1, "f"), "b"), ((2, 1, 0, "s"), "e"),
+               ((1, 1, 0, "e"), "a"), ((2, 2, 0, "s"), "e"), ((1, 1, 0, "f"), "a")]
+    CANONICAL = [((1, 1, 0, "e"), "a"), ((1, 1, 0, "f"), "a"), ((1, 1, 1, "f"), "b"),
+                 ((2, 1, 0, "s"), "e"), ((2, 2, 0, "s"), "e"), ((2, 2, 1, "s"), "f")]
+
+    def test_hand_built_complex_round_trips_in_canonical_order(self):
+        orders = [self.ENTRIES, self.ENTRIES[::-1]]
+        for seed in range(5):
+            orders.append(random.Random(seed).sample(self.ENTRIES, len(self.ENTRIES)))
+        for entries in orders:
+            K = PrecubicalSet(self.CELLS, dict(entries))
+            assert list(K.face_map.items()) == self.CANONICAL
+            assert PrecubicalSet(self.CELLS, K.face_map) == K
+            assert K == PrecubicalSet(self.CELLS, dict(self.CANONICAL))
+            assert [v.kind for v in validate(K)] == ["missing-face", "missing-face"]
+
+    def test_absent_entries_read_as_none(self):
+        K = PrecubicalSet(self.CELLS, dict(self.ENTRIES))
+        assert K.face_label(1, "e", 1, 1) is None
+        assert K.face_label(1, "e", 2, 0) is None
+        assert K.face_label(1, "e", 0, 1) is None
+        assert K.face_label(0, "a", 1, 0) is None
+        assert K.face_label(1, "ghost", 1, 0) is None
+        assert K.face_label(2, "s", 2, 1) == "f"
+
+    def test_missing_entries_are_part_of_equality(self):
+        K = PrecubicalSet(self.CELLS, dict(self.ENTRIES))
+        fuller = PrecubicalSet(self.CELLS, {**dict(self.ENTRIES), (1, 1, 1, "e"): "b"})
+        assert K != fuller
+        assert K == PrecubicalSet({1: ["e", "f"], 2: ["s"], 0: ["a", "b"], 3: []},
+                                  dict(self.ENTRIES))
+
+
+class TestPcsMapImages:
+    def test_cell_without_image_is_named(self):
+        K = standard_cube(1)
+        with pytest.raises(ValueError, match=r"^cell \(0, '0'\) has no image$"):
+            PcsMap(K, K, {})(CellId(0, "0"))
+        assert PcsMap.identity(K)(CellId(1, "*")) == CellId(1, "*")
+
+
 class TestPcsMapDefects:
     def test_dangling_source_face_is_a_defect(self):
         # a mapping entry for the undeclared z made both feet of d[1,1]

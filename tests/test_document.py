@@ -100,6 +100,34 @@ class TestParseErrors:
         with pytest.raises(FormatError, match="duplicate face records"):
             parse(json.dumps(tree))
 
+    def test_record_types_are_checked_before_structure(self):
+        # record 0 is out of range and record 1 has a null value: the type
+        # checks run over every record before any structure check
+        tree = json.loads(serialize(standard_cube(1)))
+        tree["faces"][0]["i"] = 2
+        tree["faces"][1]["value"] = None
+        with pytest.raises(FormatError) as err:
+            parse(json.dumps(tree))
+        assert str(err.value) == (
+            "face field 'value' must be a string: "
+            "{'alpha': 1, 'cell': '*', 'dim': 1, 'i': 1, 'value': None}"
+        )
+
+    @pytest.mark.parametrize("break_structure", [
+        lambda t: t["faces"][0].update(i=2),
+        lambda t: t["faces"][1].update(cell="ghost"),
+        lambda t: t["cells"].update({"-1": ["z"]}),
+        lambda t: t["cells"]["0"].append("0"),
+    ], ids=["index-range", "undeclared", "negative-dim", "duplicate-label"])
+    @pytest.mark.parametrize("copied", [0, 1])
+    def test_duplicate_records_are_reported_before_structure(self, break_structure, copied):
+        tree = json.loads(serialize(standard_cube(1)))
+        break_structure(tree)
+        tree["faces"].append(dict(tree["faces"][copied]))
+        with pytest.raises(FormatError) as err:
+            parse(json.dumps(tree))
+        assert str(err.value) == "duplicate face records for the same (dim, i, alpha, cell)"
+
     def test_malformed_record_rejected(self):
         tree = json.loads(serialize(standard_cube(1)))
         del tree["faces"][0]["value"]

@@ -516,6 +516,12 @@ DANGLING = "cell (1, 'e'): face d[1,1] points at undeclared cell 'z'"
 MISSING = "cell (1, 'e'): face d[1,1] is missing"
 
 
+def test_map_path_names_an_edge_without_image():
+    K = standard_cube(1)
+    with pytest.raises(ValueError, match=r"^cell \(1, '\*'\) has no image$"):
+        map_path(PcsMap(K, K, {}), edge_path(K, ["*"]))
+
+
 class TestDanglingEndpoint:
     """An edge whose endpoint is undeclared or absent gets a named error,
     not a bare KeyError or a silent answer."""

@@ -162,7 +162,8 @@ def test_trusted_builders_give_valid_complexes():
 def test_validate_checks_a_trusted_complex_in_full():
     # the same defect as corrupted_cube, planted behind the builder's back
     cube = standard_cube(3)
-    cube._faces[(3, 1, 0, "***")] = "*0*"
+    # d[1,0] is slot 0 of the top cell's face row
+    cube._rows[3]["***"] = ("*0*",) + cube._rows[3]["***"][1:]
     report = validate(cube)
     assert report and report == validate(corrupted_cube())
 
