@@ -248,16 +248,7 @@ class PrecubicalSet:
         """Fill self from cells and ((dim, i, alpha, label), value) face
         entries through the structural checks of the constructor and of
         parse, raising ValueError at the first failure."""
-        checked: dict[int, list[str]] = {}
-        for dim, labels in cells.items():
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-                raise ValueError(f"cell dimension must be a non-negative int: {dim!r}")
-            labels = checked[dim] = list(labels)
-            for lab in labels:
-                if not isinstance(lab, str):
-                    raise ValueError(f"cell label must be a string: {lab!r}")
-        self._fill(checked, None, valid=False)
-
+        self._place_cells(cells)
         members = self._members
         rows = {dim: {label: [None] * (2 * dim) for label in labels}
                 for dim, labels in self._cells.items() if dim}
@@ -278,6 +269,19 @@ class PrecubicalSet:
             row[2 * i - 2 + alpha] = value
         self._rows = {dim: {label: tuple(row) for label, row in table.items()}
                       for dim, table in rows.items()}
+
+    def _place_cells(self, cells) -> None:
+        """The cell half of _place: checks the dimensions and labels, and
+        fills self with the cells and no face rows yet."""
+        checked: dict[int, list[str]] = {}
+        for dim, labels in cells.items():
+            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+                raise ValueError(f"cell dimension must be a non-negative int: {dim!r}")
+            labels = checked[dim] = list(labels)
+            for lab in labels:
+                if not isinstance(lab, str):
+                    raise ValueError(f"cell label must be a string: {lab!r}")
+        self._fill(checked, None, valid=False)
 
     @classmethod
     def _adopt(cls, cells, rows, valid: bool) -> "PrecubicalSet":
@@ -347,8 +351,7 @@ class PrecubicalSet:
         Raises ValueError naming the cell when it is undeclared or when the
         face entry is missing or points at an undeclared cell.
         """
-        if not self.has_cell(cell.dim, cell.label):
-            raise ValueError(f"undeclared cell ({cell.dim}, {cell.label!r})")
+        _require_cell(self, cell)
         value, problem = _face_entry(self, cell.dim, cell.label, i, alpha)
         if value is None:
             raise ValueError(problem)
@@ -375,6 +378,12 @@ class PrecubicalSet:
 def _face_rows(K: PrecubicalSet, dim: int) -> dict:
     """label -> face row of each dim-cell of K (none in dimension 0); read only."""
     return K._rows.get(dim, {})
+
+
+def _require_cell(K: PrecubicalSet, cell: CellId) -> None:
+    """Raise ValueError unless K declares the cell."""
+    if not K.has_cell(cell.dim, cell.label):
+        raise ValueError(f"undeclared cell ({cell.dim}, {cell.label!r})")
 
 
 def _face_entry(K: PrecubicalSet, dim: int, label: str, i: int, alpha: int):
@@ -509,6 +518,7 @@ def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
         raise ValueError(
             f"word length {len(w)} does not match cell dimension {c.dim}"
         )
+    _require_cell(K, c)
     _require_valid(K)
     letters = w.letters
     dim, label = c.dim, c.label

@@ -24,12 +24,21 @@ followed by a newline:
 - an empty cells object or faces array written as {} or [].
 
 So serialize(parse(serialize(K))) is byte-identical to serialize(K).
+
+Both directions move each dimension's face records as whole columns.
+parse reads a canonical document that has every face entry, in the order
+above and with no repeated key, in one columnar pass.  Every other layout
+is still accepted, through a pass that reads one record at a time and
+gives every rejected document its message.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain, compress, cycle, repeat
+from json.encoder import encode_basestring_ascii as _quote
+from operator import is_not, itemgetter
 
 from .core import PrecubicalSet, _face_rows, standard_cube, boundary_cube, tensor, validate
 
@@ -44,48 +53,39 @@ class FormatError(ValueError):
         self.violations = tuple(violations)
 
 
-_FACE_RECORD = (
-    "    {\n"
-    '      "alpha": %d,\n'
-    '      "cell": %s,\n'
-    '      "dim": %d,\n'
-    '      "i": %d,\n'
-    '      "value": %s\n'
-    "    }"
-)
-
-
 def serialize(K: PrecubicalSet) -> str:
     """Canonical document text for K (UTF-8 friendly, newline-terminated)."""
-    quote = json.dumps
-    dims = [d for d in range(K.top_dim + 1) if K.cells(d)]
-    quoted = {label: quote(label) for d in dims for label in K.cells(d)}
-    cells = [
-        '    "%d": [\n%s\n    ]'
-        % (d, ",\n".join("      " + quoted[label] for label in K.cells(d)))
-        for d in sorted(dims, key=str)
-    ]
-    # walking the sorted labels and each face row in slot order visits the
-    # face entries in canonical order
+    # _quote is what json.dumps calls on a str
+    quoted = {d: list(map(_quote, K.cells(d))) for d in range(K.top_dim + 1) if K.cells(d)}
+    cells = ['    "%d": [\n      %s\n    ]' % (d, ",\n      ".join(quoted[d]))
+             for d in sorted(quoted, key=str)]
+    # a record is head, cell, middle, value for its slot (i, alpha); the
+    # closing brace goes into the separator.  Walking the sorted labels and
+    # each face row in slot order visits the entries in canonical order.
     records = []
     for d in range(1, K.top_dim + 1):
-        rows = _face_rows(K, d)
+        labels = K.cells(d)
         slots = [(i, alpha) for i in range(1, d + 1) for alpha in (0, 1)]
-        for label in K.cells(d):
-            cell = quoted[label]
-            for (i, alpha), value in zip(slots, rows[label]):
-                if value is not None:
-                    text = quoted.get(value) or quote(value)
-                    records.append(_FACE_RECORD % (alpha, cell, d, i, text))
+        heads = ['    {\n      "alpha": %d,\n      "cell": ' % alpha for _, alpha in slots]
+        middles = [',\n      "dim": %d,\n      "i": %d,\n      "value": ' % (d, i)
+                   for i, _ in slots]
+        values = list(chain.from_iterable(map(_face_rows(K, d).__getitem__, labels)))
+        present = list(map(is_not, values, repeat(None)))
+        column = chain.from_iterable(map(repeat, quoted.get(d, ()), repeat(2 * d)))
+        records += map("".join, zip(compress(cycle(heads), present), compress(column, present),
+                                    compress(cycle(middles), present),
+                                    map(_quote, compress(values, present))))
     return '{\n  "cells": %s,\n  "faces": %s,\n  "format_version": %s,\n  "top_dim": %d\n}\n' % (
         "{\n" + ",\n".join(cells) + "\n  }" if cells else "{}",
-        "[\n" + ",\n".join(records) + "\n  ]" if records else "[]",
-        quote(FORMAT_VERSION),
+        "[\n" + "\n    },\n".join(records) + "\n    }\n  ]" if records else "[]",
+        _quote(FORMAT_VERSION),
         K.top_dim,
     )
 
 
-_FACE_KEYS = frozenset({"dim", "i", "alpha", "cell", "value"})
+_TOP_KEYS = frozenset({"cells", "faces", "format_version", "top_dim"})
+# the fields of a face record, in canonical order, and the type of each
+_FACE_FIELDS = {"dim": int, "i": int, "alpha": int, "cell": str, "value": str}
 
 
 def _object(pairs: list) -> dict:
@@ -106,6 +106,96 @@ def parse(data, check: bool = True) -> PrecubicalSet:
     document, from bytes that are not UTF-8 to a violated axiom, raises
     FormatError.
     """
+    K = _parse_columns(data)
+    if K is None:
+        return _parse_records(data, check)
+    if check:
+        _check(K)
+    return K
+
+
+def _parse_columns(data) -> PrecubicalSet | None:
+    """The complex of a canonical document that has every face entry, read
+    a column at a time; None for any other input, which _parse_records
+    then reads from the start."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        # no repeated-key hook: the colon count below stands in for it
+        tree = json.loads(data) if isinstance(data, str) else None
+    except (ValueError, RecursionError):
+        return None
+    if type(tree) is not dict or tree.keys() != _TOP_KEYS \
+            or tree["format_version"] != FORMAT_VERSION:
+        return None
+    cell_tree, records, top_dim = tree["cells"], tree["faces"], tree["top_dim"]
+    if type(cell_tree) is not dict or type(records) is not list or type(top_dim) is not int:
+        return None
+    cells = {}
+    try:
+        for dim_key, labels in cell_tree.items():
+            if str(int(dim_key)) != dim_key or type(labels) is not list \
+                    or not set(map(type, labels)) <= {str}:
+                return None
+            cells[int(dim_key)] = labels
+        K = PrecubicalSet.__new__(PrecubicalSet)
+        K._place_cells(cells)
+    except ValueError:
+        return None
+    if top_dim != K.top_dim:
+        return None
+
+    # an n-cell has 2n faces; the count is checked before any column is
+    # built, so the columns are no longer than the document
+    faced = [d for d in sorted(cells) if d > 0 and K.cells(d)]
+    if len(records) != sum(2 * d * len(K.cells(d)) for d in faced) \
+            or not set(map(type, records)) <= {dict} \
+            or not set(map(len, records)) <= {len(_FACE_FIELDS)}:
+        return None
+    # a record of five keys from which every field can be read has exactly those
+    try:
+        columns = [list(map(itemgetter(field), records)) for field in _FACE_FIELDS]
+    except KeyError:
+        return None
+    if not all(set(map(type, column)) <= {kind}
+               for column, kind in zip(columns, _FACE_FIELDS.values())):
+        return None
+    # the columns of the complete face table in canonical order
+    dims, indices, signs, owners = [], [], [], []
+    for d in faced:
+        labels = K.cells(d)
+        dims += [d] * (2 * d * len(labels))
+        indices += [i for i in range(1, d + 1) for _ in (0, 1)] * len(labels)
+        signs += [0, 1] * (d * len(labels))
+        owners += chain.from_iterable(map(repeat, labels, repeat(2 * d)))
+    if columns[:4] != [dims, indices, signs, owners]:
+        return None
+
+    # json.loads keeps only the last of two equal keys, so count that no
+    # pair was dropped.  Every key/value pair of the text has exactly one
+    # ":" outside strings, and a dropped pair leaves one more pair in the
+    # text than in the tree.  No key of this tree holds a colon, and with no
+    # : escape in the text (no "\u003" at all) each of its strings (labels,
+    # cell and value columns) has exactly the colons of its own literal.  So
+    # the text's ":" count is the tree's pairs plus its strings' colons when
+    # nothing was dropped, and larger when something was: a dropped pair
+    # adds its own ":", and the literals it held can only add more.
+    values = columns[4]
+    pairs = len(_TOP_KEYS) + len(cell_tree) + len(_FACE_FIELDS) * len(records)
+    strings = chain(chain.from_iterable(cells.values()), columns[3], values)
+    if "\\u003" in data or data.count(":") != pairs + "".join(strings).count(":"):
+        return None
+
+    rows, entries = {}, iter(values)
+    for d in faced:
+        rows[d] = dict(zip(K.cells(d), zip(*[entries] * (2 * d))))
+    K._rows = rows
+    return K
+
+
+def _parse_records(data, check: bool) -> PrecubicalSet:
+    """parse, one record at a time: the path of every document that the
+    columnar pass does not read, and the reference it is tested against."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
@@ -154,7 +244,7 @@ def parse(data, check: bool = True) -> PrecubicalSet:
     for record in records:
         if not isinstance(record, dict):
             raise FormatError(f"face record must be an object: {record!r}")
-        if record.keys() != _FACE_KEYS:
+        if record.keys() != _FACE_FIELDS.keys():
             raise FormatError(
                 f"face record must have exactly the keys dim, i, alpha, cell, value: {record!r}"
             )
@@ -185,15 +275,20 @@ def parse(data, check: bool = True) -> PrecubicalSet:
             f"declared top_dim {top_dim} does not match cells (top dimension {K.top_dim})"
         )
     if check:
-        violations = validate(K)
-        if violations:
-            summary = "; ".join(str(v) for v in violations[:5])
-            more = "" if len(violations) <= 5 else f" (and {len(violations) - 5} more)"
-            raise FormatError(
-                f"document violates the precubical axioms: {summary}{more}",
-                violations=violations,
-            )
+        _check(K)
     return K
+
+
+def _check(K: PrecubicalSet) -> None:
+    """Raise FormatError listing the violations of K, if it has any."""
+    violations = validate(K)
+    if violations:
+        summary = "; ".join(str(v) for v in violations[:5])
+        more = "" if len(violations) <= 5 else f" (and {len(violations) - 5} more)"
+        raise FormatError(
+            f"document violates the precubical axioms: {summary}{more}",
+            violations=violations,
+        )
 
 
 def circle() -> PrecubicalSet:

@@ -33,8 +33,8 @@ globular.globular_decomposition.
 
 from __future__ import annotations
 
-from .core import (CellId, PrecubicalSet, _UnionFind, _Value, _face_rows, _require_valid, _set,
-                   apply_cube_map)
+from .core import (CellId, PrecubicalSet, _UnionFind, _Value, _face_rows, _require_cell,
+                   _require_valid, _set, apply_cube_map)
 
 
 class EdgePath(_Value):
@@ -124,6 +124,7 @@ def corner(K: PrecubicalSet, c: CellId, alpha: int) -> str:
     """
     if alpha not in (0, 1):
         raise ValueError(f"corner sign must be 0 or 1: {alpha!r}")
+    _require_cell(K, c)
     _require_valid(K)
     label = c.label
     for n in range(c.dim, 0, -1):

@@ -322,6 +322,13 @@ class TestApplyCubeMap:
         with pytest.raises(ValueError):
             apply_cube_map(standard_cube(2), CellId(2, "**"), "*")
 
+    @pytest.mark.parametrize("cell, word", [(CellId(1, "x"), "0"), (CellId(0, "x"), "")])
+    def test_undeclared_cell_is_named(self, cell, word):
+        # the vertex used to come back unchanged and the edge gave a bare KeyError
+        message = r"^undeclared cell \(%d, 'x'\)$" % cell.dim
+        with pytest.raises(ValueError, match=message):
+            apply_cube_map(standard_cube(1), cell, word)
+
 
 class TestFace:
     @staticmethod

@@ -7,6 +7,7 @@ import pytest
 
 from precubical import (
     FormatError,
+    PcsMap,
     PrecubicalSet,
     boundary_cube,
     circle,
@@ -17,11 +18,13 @@ from precubical import (
     parse,
     serialize,
     skeleton,
+    pushout,
     standard_cube,
     tensor,
     torus,
     validate,
 )
+from precubical import document
 
 from conftest import glued_circle, reference_text
 
@@ -256,6 +259,18 @@ class TestCanonicalWriter:
         K = PrecubicalSet({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): "a", (1, 1, 1, "e"): "ghöst"})
         assert serialize(K) == reference_text(K)
 
+    def test_unvalidated_complex_with_missing_entries(self):
+        # s lacks d[2,0], in the middle of its row, and f lacks both faces
+        K = PrecubicalSet(
+            {0: ["a", "b"], 1: ["e", "f"], 2: ["s"]},
+            {(1, 1, 0, "e"): "a", (1, 1, 1, "e"): "b",
+             (2, 1, 0, "s"): "e", (2, 1, 1, "s"): "e", (2, 2, 1, "s"): "f"},
+        )
+        text = serialize(K)
+        assert text == reference_text(K)
+        assert text.count('"value"') == 5
+        assert parse(text, check=False) == K
+
 
 SQUARE_TREE = {
     "format_version": "1",
@@ -378,6 +393,80 @@ MALFORMED = [
     ("not-utf8", b"\xff\xfe",
      "document is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ]
+
+
+def _pushout_with_colons() -> PrecubicalSet:
+    """The 3-cube with a square glued at a corner and an edge glued to the
+    square: labels such as K:K:*** hold colons."""
+    point = standard_cube(0)
+    K = pushout(PcsMap(point, standard_cube(3), {(0, ""): "111"}),
+                PcsMap(point, standard_cube(2), {(0, ""): "00"}))
+    return pushout(PcsMap(point, K, {(0, ""): "M:11"}),
+                   PcsMap(point, standard_cube(1), {(0, ""): "0"}))
+
+
+@pytest.fixture
+def hook_calls(monkeypatch):
+    """Counts the calls of the repeated-key hook of the per-record pass."""
+    calls = []
+    hook = document._object
+
+    def spy(pairs):
+        calls.append(len(pairs))
+        return hook(pairs)
+
+    monkeypatch.setattr(document, "_object", spy)
+    return calls
+
+
+class TestColumnarPass:
+    @pytest.mark.parametrize("build", [lambda: standard_cube(5), lambda: torus(3),
+                                       _pushout_with_colons],
+                             ids=["cube5", "torus3", "pushout"])
+    def test_canonical_documents_skip_the_hook(self, build, hook_calls):
+        K = build()
+        text = serialize(K)
+        assert parse(text) == K
+        assert parse(text.encode("utf-8"), check=False) == K
+        assert hook_calls == []
+
+    @pytest.mark.parametrize("name", ["repeated-dim-key", "repeated-face-field"])
+    def test_repeated_keys_go_through_the_hook(self, name, hook_calls):
+        _, document_text, message = next(m for m in MALFORMED if m[0] == name)
+        with pytest.raises(FormatError) as err:
+            parse(document_text)
+        assert str(err.value) == message
+        assert hook_calls
+
+    def test_colon_escape_goes_through_the_hook(self, hook_calls):
+        K = _pushout_with_colons()
+        text = serialize(K).replace('"K:K:***"', '"K:K\\u003a***"')
+        assert parse(text) == K
+        assert hook_calls
+
+    def test_colon_escape_cannot_hide_a_repeated_key(self):
+        # the escape takes one ":" out of the text and the repeated key adds
+        # one, so the colon count alone would balance
+        text = serialize(_pushout_with_colons())
+        text = text.replace('"K:K:***"', '"K:K\\u003a***"', 1)
+        text = text.replace('"faces": [\n    {', '"faces": [\n    {"dim": 9, ', 1)
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert str(err.value) == "repeated key in a JSON object: 'dim'"
+
+    @pytest.mark.parametrize("K", [standard_cube(3), _pushout_with_colons()],
+                             ids=["cube3", "pushout"])
+    def test_dangling_value_is_reported_like_the_per_record_pass(self, K):
+        tree = json.loads(serialize(K))
+        tree["faces"][-1]["value"] = "x:y"
+        text = json.dumps(tree)
+        with pytest.raises(FormatError) as fast:
+            parse(text)
+        with pytest.raises(FormatError) as slow:
+            document._parse_records(text, True)
+        assert str(fast.value) == str(slow.value)
+        assert fast.value.violations == slow.value.violations
+        assert parse(text, check=False) == document._parse_records(text, False)
 
 
 class TestMalformedMessages:

@@ -10,9 +10,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from precubical import FormatError, parse, serialize, standard_cube
+from precubical import FormatError, document, parse, serialize, standard_cube
 
-from conftest import random_glued_complex, reference_text
+from conftest import glued_path, random_glued_complex, reference_text
 
 
 @settings(max_examples=60, deadline=None)
@@ -23,11 +23,13 @@ def test_random_gluings_round_trip(seed):
     assert text == reference_text(K)
     back = parse(text)
     assert back == K
+    assert back == document._parse_records(text, True)
     assert serialize(back) == text
 
 
-# the canonical cube-2 document, mutated field by field below
-CANONICAL = json.loads(serialize(standard_cube(2)))
+# the canonical documents mutated below: the square, and a path of two
+# glued edges whose pushout labels hold colons
+BASES = [json.loads(serialize(standard_cube(2))), json.loads(serialize(glued_path()))]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -39,28 +41,72 @@ json_values = st.recursive(
 dimension_keys = (st.sampled_from(["01", " 1", "1 ", "+1", "-1", "1.0", "1_0", "\u0661", "", "x"])
                   | st.text(max_size=4))
 face_fields = st.sampled_from(["dim", "i", "alpha", "cell", "value"]) | st.text(max_size=4)
+top_keys = st.sampled_from(["cells", "faces", "format_version", "top_dim"])
+
+
+def rename(tree, old, new):
+    """Rename the label old to new in the cells and in every face record."""
+    for labels in tree["cells"].values():
+        if isinstance(labels, list):
+            labels[:] = [new if label == old else label for label in labels]
+    for record in tree["faces"]:
+        if isinstance(record, dict):
+            for field in ("cell", "value"):
+                if record.get(field) == old:
+                    record[field] = new
+
+
+def insert_pair(text, anchor, pair):
+    """Write the "key": value text pair first in the object that anchor opens."""
+    at = text.find(anchor)
+    if at < 0:
+        return text
+    at += len(anchor)
+    return text[:at] + pair + ("" if text[at] == "}" else ", ") + text[at:]
 
 
 @st.composite
 def mutated_documents(draw):
-    """Text of the canonical cube-2 document with one to three fields changed."""
-    tree = copy.deepcopy(CANONICAL)
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["top", "drop", "dim key", "dim value", "face", "face drop"]))
+    """Text of a canonical document with up to three changes: a field
+    changed or dropped, records shuffled, dropped or copied, a label given
+    a colon, written as ":" or as a : escape, or a key repeated."""
+    tree = copy.deepcopy(draw(st.sampled_from(BASES)))
+    escaped = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["top", "drop", "dim key", "dim value", "face", "face drop",
+                                     "shuffle", "record drop", "record copy", "colon"]))
+        cells, faces = tree.get("cells"), tree.get("faces")
         if kind == "top":
-            keys = st.sampled_from(["cells", "faces", "format_version", "top_dim"])
-            tree[draw(keys | st.text(max_size=4))] = draw(json_values)
+            tree[draw(top_keys | st.text(max_size=4))] = draw(json_values)
         elif kind == "drop" and tree:
             del tree[draw(st.sampled_from(sorted(tree)))]
-        elif kind.startswith("dim") and isinstance(tree.get("cells"), dict) and tree["cells"]:
-            cells = tree["cells"]
+        elif kind.startswith("dim") and isinstance(cells, dict) and cells:
             old = draw(st.sampled_from(sorted(cells)))
             if kind == "dim key":
                 cells[draw(dimension_keys)] = cells.pop(old)
             else:
                 cells[old] = draw(json_values)
-        elif isinstance(tree.get("faces"), list) and tree["faces"]:
-            record = tree["faces"][draw(st.integers(0, len(tree["faces"]) - 1))]
+        elif kind == "colon" and isinstance(cells, dict) and isinstance(faces, list):
+            labels = [l for ls in cells.values() if isinstance(ls, list)
+                      for l in ls if isinstance(l, str)]
+            if labels:
+                old = draw(st.sampled_from(labels))
+                at = draw(st.integers(0, len(old)))
+                new = old[:at] + ":" + old[at:]
+                rename(tree, old, new)
+                if draw(st.booleans()):
+                    escaped.append(new)
+        elif not isinstance(faces, list) or not faces:
+            continue
+        elif kind == "shuffle":
+            tree["faces"] = draw(st.permutations(faces))
+        elif kind == "record drop":
+            del faces[draw(st.integers(0, len(faces) - 1))]
+        elif kind == "record copy":
+            record = faces[draw(st.integers(0, len(faces) - 1))]
+            faces.insert(draw(st.integers(0, len(faces))), copy.deepcopy(record))
+        elif kind.startswith("face"):
+            record = faces[draw(st.integers(0, len(faces) - 1))]
             if not isinstance(record, dict):
                 continue
             field = draw(face_fields)
@@ -68,7 +114,45 @@ def mutated_documents(draw):
                 record[field] = draw(json_values)
             else:
                 record.pop(field, None)
-    return json.dumps(tree)
+    text = json.dumps(tree)
+    for label in escaped:
+        quoted = json.dumps(label)
+        text = text.replace(quoted, quoted.replace(":", "\\u003a"))
+
+    # a repeated key can only be written as text
+    pair = json.dumps(draw(top_keys)) + ": " + json.dumps(draw(json_values))
+    where = draw(st.sampled_from(["none", "top", "cells", "record", "extra key", "extra object"]))
+    if where == "top":
+        text = insert_pair(text, "{", pair)
+    elif where == "cells":
+        key = json.dumps(draw(st.sampled_from(["0", "1", "2"])))
+        text = insert_pair(text, '"cells": {', key + ": " + json.dumps(draw(json_values)))
+    elif where == "record":
+        field = json.dumps(draw(face_fields)) + ": " + json.dumps(draw(json_values))
+        text = insert_pair(text, '"faces": [{', field)
+    elif where == "extra key":
+        text = insert_pair(text, "{", '"extra": {%s, %s}' % (pair, pair))
+    elif where == "extra object":
+        text += " {%s, %s}" % (pair, pair)
+    return text
+
+
+def outcome(read, data, check):
+    """What reading data gives: the complex and whether it is known valid,
+    or the message and violations of the FormatError."""
+    try:
+        K = read(data, check)
+    except FormatError as exc:
+        return str(exc), exc.violations
+    return K, K._valid
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_documents(), st.booleans())
+def test_both_parse_passes_agree(text, check):
+    expected = outcome(document._parse_records, text, check)
+    assert outcome(parse, text, check) == expected
+    assert outcome(parse, text.encode("utf-8"), check) == expected
 
 
 def parse_or_format_error(data):

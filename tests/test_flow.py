@@ -85,6 +85,12 @@ class TestCorner:
         with pytest.raises(ValueError):
             corner(standard_cube(1), CellId(1, "*"), 2)
 
+    @pytest.mark.parametrize("dim, alpha", [(1, 0), (2, 1), (0, 0)])
+    def test_undeclared_cell_is_named(self, dim, alpha):
+        # the vertex used to come back as its own corner, the others gave a bare KeyError
+        with pytest.raises(ValueError, match=r"^undeclared cell \(%d, 'x'\)$" % dim):
+            corner(standard_cube(1), CellId(dim, "x"), alpha)
+
 
 class TestRealizeFlow:
     def test_one_atom_per_positive_cell(self, corpus_complex):
