@@ -24,10 +24,13 @@ using another convention will disagree by a relabeling of face indices.
 Everything here is finite and immutable after construction; operations are
 pure functions, so results are deterministic and safe to share.
 
-A complex keeps its faces in one private table, owned by this module: for
-each dimension n >= 1 a row per n-cell, the tuple of its 2n faces with
-d[i, alpha] at slot 2*(i-1) + alpha, and None where a hand-built or parsed
-complex has no entry.  Other modules read the rows through _face_rows.
+A complex keeps its cells in one private table, owned by this module: for
+each dimension that has cells, one row per declared cell, the tuple of its
+2n faces with d[i, alpha] at slot 2*(i-1) + alpha, and None where a
+hand-built or parsed complex has no entry.  A vertex's row is ().  Other
+modules read the rows through _face_rows.  Every complex is made by
+PrecubicalSet._fill, which the constructor and _adopt end in; the checked
+path, _tabulate, is shared with parse.
 """
 
 from __future__ import annotations
@@ -217,9 +220,6 @@ class Violation(_Value):
         return msg
 
 
-_NO_CELLS = frozenset()
-
-
 class PrecubicalSet:
     """A finitely presented precubical set.
 
@@ -231,84 +231,40 @@ class PrecubicalSet:
     and cubical-relation failures are the business of validate, so that
     broken inputs can be represented and reported.
 
-    face_map lists the entries in canonical order, by dimension, label, i
-    and alpha, whatever order they were given in.
+    Whichever way it is made, a complex keeps one face row per declared
+    cell, () for a vertex, and that table answers every membership
+    test.  face_map lists the entries in canonical order, by dimension,
+    label, i and alpha, whatever order they were given in.
 
     The builders standard_cube, boundary_cube, skeleton (of a complex
     known to be valid), tensor, pushout, disjoint_union, circle, interval,
     torus and cylinder return complexes that are valid by construction:
-    they skip the constructor's per-entry checks and are never validated
-    on use.  validate itself always runs the full check.
+    they go through _adopt, skip the constructor's per-entry checks and
+    are never validated on use.  validate itself always runs the full
+    check.
     """
 
     def __init__(self, cells, faces=None):
-        self._place(dict(cells), dict(faces or {}).items())
-
-    def _place(self, cells, entries) -> None:
-        """Fill self from cells and ((dim, i, alpha, label), value) face
-        entries through the structural checks of the constructor and of
-        parse, raising ValueError at the first failure."""
-        self._place_cells(cells)
-        members = self._members
-        rows = {dim: {label: [None] * (2 * dim) for label in labels}
-                for dim, labels in self._cells.items() if dim}
-        for (dim, i, alpha, label), value in entries:
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-                raise ValueError(f"face dimension must be an int >= 1: {dim!r}")
-            if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= dim:
-                raise ValueError(f"face index {i!r} out of range 1..{dim}")
-            if alpha not in (0, 1) or isinstance(alpha, bool):
-                raise ValueError(f"face sign must be 0 or 1: {alpha!r}")
-            if label not in members.get(dim, _NO_CELLS):
-                raise ValueError(f"face keyed on undeclared cell ({dim}, {label!r})")
-            if not isinstance(value, str):
-                raise ValueError(f"face value must be a label string: {value!r}")
-            row = rows[dim][label]
-            if row[2 * i - 2 + alpha] is not None:
-                raise ValueError(f"face d[{i},{alpha}] of cell ({dim}, {label!r}) given twice")
-            row[2 * i - 2 + alpha] = value
-        self._rows = {dim: {label: tuple(row) for label, row in table.items()}
-                      for dim, table in rows.items()}
-
-    def _place_cells(self, cells) -> None:
-        """The cell half of _place: checks the dimensions and labels, and
-        fills self with the cells and no face rows yet."""
-        checked: dict[int, list[str]] = {}
-        for dim, labels in cells.items():
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-                raise ValueError(f"cell dimension must be a non-negative int: {dim!r}")
-            labels = checked[dim] = list(labels)
-            for lab in labels:
-                if not isinstance(lab, str):
-                    raise ValueError(f"cell label must be a string: {lab!r}")
-        self._fill(checked, None, valid=False)
+        self._fill(*_tabulate(dict(cells), dict(faces or {}).items()), False)
 
     @classmethod
     def _adopt(cls, cells, rows, valid: bool) -> "PrecubicalSet":
         """A complex owning the given cells dict and face rows, without the
-        constructor's per-entry checks; valid says whether the builder
-        guarantees the precubical axioms.  rows has a row for each cell."""
+        per-entry checks of _tabulate; valid says whether the caller
+        guarantees the precubical axioms.  rows has a row for each cell,
+        () for a vertex."""
         K = cls.__new__(cls)
         K._fill(cells, rows, valid)
         return K
 
     def _fill(self, cells, rows, valid: bool) -> None:
-        normalized: dict[int, tuple[str, ...]] = {}
-        members: dict[int, frozenset] = {}
-        for dim, labels in cells.items():
-            if not labels:
-                continue
-            label_set = frozenset(labels)
-            if len(label_set) != len(labels):
-                dupes = sorted({l for l in labels if labels.count(l) > 1})
-                raise ValueError(f"duplicate labels in dimension {dim}: {dupes}")
-            normalized[dim] = tuple(sorted(labels))
-            members[dim] = label_set
-        self._cells = normalized
-        # one hashed copy of each dimension's labels, for membership tests
-        self._members = members
-        self._top_dim = max(normalized, default=-1)
-        self._rows = rows
+        # the one place that builds a complex; only validate, which records
+        # its verdict in _valid, writes a field after this
+        _require_distinct(cells, rows)
+        self._cells = {dim: tuple(sorted(labels)) for dim, labels in cells.items() if labels}
+        # one row table per dimension that has cells, keyed on its labels
+        self._rows = {dim: rows[dim] for dim in self._cells}
+        self._top_dim = max(self._cells, default=-1)
         # set by validate and by the builders that are valid by
         # construction; a complex known to be valid is never checked again
         self._valid = valid
@@ -336,7 +292,7 @@ class PrecubicalSet:
                 yield CellId(dim, label)
 
     def has_cell(self, dim: int, label: str) -> bool:
-        return label in self._members.get(dim, _NO_CELLS)
+        return label in _face_rows(self, dim)
 
     def face_label(self, dim: int, label: str, i: int, alpha: int) -> str | None:
         """Label of d[i, alpha] of the cell, or None if the entry is absent."""
@@ -375,8 +331,53 @@ class PrecubicalSet:
         return f"PrecubicalSet(cells=({counts}))"
 
 
+def _tabulate(cells, entries) -> tuple[dict, dict]:
+    """The (cells, rows) of a complex with the given cells and
+    ((dim, i, alpha, label), value) face entries, through the structural
+    checks of the constructor and of parse: raises ValueError at the
+    first failure, a repeated label before any face entry."""
+    checked: dict[int, list[str]] = {}
+    rows: dict[int, dict[str, list]] = {}
+    for dim, labels in cells.items():
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise ValueError(f"cell dimension must be a non-negative int: {dim!r}")
+        labels = checked[dim] = list(labels)
+        for lab in labels:
+            if not isinstance(lab, str):
+                raise ValueError(f"cell label must be a string: {lab!r}")
+        rows[dim] = {label: [None] * (2 * dim) for label in labels}
+    _require_distinct(checked, rows)
+    for (dim, i, alpha, label), value in entries:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise ValueError(f"face dimension must be an int >= 1: {dim!r}")
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= dim:
+            raise ValueError(f"face index {i!r} out of range 1..{dim}")
+        if alpha not in (0, 1) or isinstance(alpha, bool):
+            raise ValueError(f"face sign must be 0 or 1: {alpha!r}")
+        row = rows.get(dim, {}).get(label)
+        if row is None:
+            raise ValueError(f"face keyed on undeclared cell ({dim}, {label!r})")
+        if not isinstance(value, str):
+            raise ValueError(f"face value must be a label string: {value!r}")
+        if row[2 * i - 2 + alpha] is not None:
+            raise ValueError(f"face d[{i},{alpha}] of cell ({dim}, {label!r}) given twice")
+        row[2 * i - 2 + alpha] = value
+    return checked, {dim: {label: tuple(row) for label, row in table.items()}
+                     for dim, table in rows.items()}
+
+
+def _require_distinct(cells, rows) -> None:
+    """Raise ValueError naming the first dimension that repeats a label:
+    its row table, keyed on the labels, is shorter than its label list."""
+    for dim, labels in cells.items():
+        if len(rows.get(dim, ())) < len(labels):
+            dupes = sorted({l for l in labels if labels.count(l) > 1})
+            raise ValueError(f"duplicate labels in dimension {dim}: {dupes}")
+
+
 def _face_rows(K: PrecubicalSet, dim: int) -> dict:
-    """label -> face row of each dim-cell of K (none in dimension 0); read only."""
+    """label -> face row of each declared dim-cell of K, () for a vertex,
+    and empty for a dimension without cells; read only."""
     return K._rows.get(dim, {})
 
 
@@ -392,7 +393,7 @@ def _face_entry(K: PrecubicalSet, dim: int, label: str, i: int, alpha: int):
     value = K.face_label(dim, label, i, alpha)
     if value is None:
         return None, f"cell ({dim}, {label!r}): face d[{i},{alpha}] is missing"
-    if value not in K._members.get(dim - 1, _NO_CELLS):
+    if value not in _face_rows(K, dim - 1):
         return None, (f"cell ({dim}, {label!r}): face d[{i},{alpha}] "
                       f"points at undeclared cell {value!r}")
     return value, ""
@@ -409,27 +410,30 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     complex that is valid by construction.  K remembers the verdict, so
     _require_valid checks it only once.
     """
-    members = K._members
-    report: list[Violation] = []
+    faults: list[Violation] = []
+    relations: list[Violation] = []
     for dim in range(1, K.top_dim + 1):
-        below, table = members.get(dim - 1, _NO_CELLS), _face_rows(K, dim)
-        for label in K.cells(dim):
-            for slot, value in enumerate(table[label]):
-                if value is None:
-                    report.append(Violation("missing-face", dim, label, slot // 2 + 1, slot % 2))
-                elif value not in below:
-                    report.append(Violation("dangling-face", dim, label, slot // 2 + 1, slot % 2,
-                                            detail=f"points at undeclared cell {value!r}"))
-
-    # a relation instance is checked only when its four ingredient faces
-    # are declared cells; a missing or dangling one is reported above
-    for dim in range(2, K.top_dim + 1):
-        lower, table = _face_rows(K, dim - 1), _face_rows(K, dim)
-        mid, low = members.get(dim - 1, _NO_CELLS), members.get(dim - 2, _NO_CELLS)
+        low, mid, table = _face_rows(K, dim - 2), _face_rows(K, dim - 1), _face_rows(K, dim)
         for label in K.cells(dim):
             row = table[label]
-            for j in range(2, dim + 1):
-                for i in range(1, j):
+            coords = range(1, dim + 1)
+            if not all(map(mid.__contains__, row)):
+                for slot, value in enumerate(row):
+                    i, alpha = slot // 2 + 1, slot % 2
+                    if value is None:
+                        faults.append(Violation("missing-face", dim, label, i, alpha))
+                    elif value not in mid:
+                        faults.append(Violation("dangling-face", dim, label, i, alpha,
+                                                detail=f"points at undeclared cell {value!r}"))
+                # a relation instance is checked only when its four
+                # ingredient faces are declared cells, so only coordinates
+                # with a declared face are paired: a cell whose faces are
+                # missing costs time linear in its dimension
+                coords = [k for k in coords if row[2 * k - 2] in mid or row[2 * k - 1] in mid]
+            for j in coords:
+                for i in coords:
+                    if i == j:
+                        break
                     for alpha in (0, 1):
                         ia = row[2 * i - 2 + alpha]
                         if ia not in mid:
@@ -438,13 +442,15 @@ def validate(K: PrecubicalSet) -> list[Violation]:
                             jb = row[2 * j - 2 + beta]
                             if jb not in mid:
                                 continue
-                            left = lower[jb][2 * i - 2 + alpha]
-                            right = lower[ia][2 * j - 4 + beta]
+                            left = mid[jb][2 * i - 2 + alpha]
+                            right = mid[ia][2 * j - 4 + beta]
                             if left != right and left in low and right in low:
-                                report.append(Violation(
+                                relations.append(Violation(
                                     "cubical-relation", dim, label, i, alpha, j, beta,
                                     f"d[{i},{alpha}]d[{j},{beta}] = {left!r} "
                                     f"but d[{j-1},{beta}]d[{i},{alpha}] = {right!r}"))
+    # every missing or dangling entry is reported before any relation
+    report = faults + relations
     K._valid = not report
     return report
 
@@ -472,14 +478,13 @@ def standard_cube(n: int) -> PrecubicalSet:
     if n < 0:
         raise ValueError("dimension must be non-negative")
     cells: dict[int, list[str]] = {k: [] for k in range(n + 1)}
-    rows: dict[int, dict[str, tuple]] = {k: {} for k in range(1, n + 1)}
+    rows: dict[int, dict[str, tuple]] = {k: {} for k in range(n + 1)}
     for word in cube_words(n):
         stars = [pos for pos, ch in enumerate(word) if ch == STAR]
         cells[len(stars)].append(word)
-        if stars:
-            # the (i, alpha) face replaces the i-th star, left to right, with alpha
-            rows[len(stars)][word] = tuple(word[:pos] + alpha + word[pos + 1:]
-                                           for pos in stars for alpha in "01")
+        # the (i, alpha) face replaces the i-th star, left to right, with alpha
+        rows[len(stars)][word] = tuple(word[:pos] + alpha + word[pos + 1:]
+                                       for pos in stars for alpha in "01")
     return PrecubicalSet._adopt(cells, rows, True)
 
 
@@ -500,9 +505,9 @@ def skeleton(K: PrecubicalSet, n: int) -> PrecubicalSet:
     if n < 0:
         return _empty()
     cells = {d: K.cells(d) for d in range(min(n, K.top_dim) + 1)}
-    # rows are never changed after construction, so the two complexes share them
-    rows = {d: table for d, table in K._rows.items() if d <= n}
-    return PrecubicalSet._adopt(cells, rows, K._valid)
+    # rows are never changed after construction, so the two complexes share
+    # them; _fill keeps only the tables of the dimensions in cells
+    return PrecubicalSet._adopt(cells, K._rows, K._valid)
 
 
 def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
@@ -687,10 +692,9 @@ def pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
                 out.append(name)
                 # faces are class-independent because f and g commute
                 # with faces, so the first member met names them
-                if dim:
-                    rows.setdefault(dim, {})[name] = tuple(
-                        renamed.get((dim - 1, side, value)) or tag + value
-                        for value in table[label])
+                rows.setdefault(dim, {})[name] = tuple(
+                    renamed.get((dim - 1, side, value)) or tag + value
+                    for value in table[label])
     return PrecubicalSet._adopt(cells, rows, True)
 
 
@@ -722,11 +726,9 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
                 for y in L.cells(q):
                     label = f"{x}|{y}"
                     cells.setdefault(p + q, []).append(label)
-                    if p + q:
-                        # the left factor's faces fill the first 2p slots of the row
-                        rows.setdefault(p + q, {})[label] = (
-                            tuple(f"{fx}|{y}" for fx in left.get(x, ()))
-                            + tuple(f"{x}|{fy}" for fy in right.get(y, ())))
+                    # the left factor's faces fill the first 2p slots of the row
+                    rows.setdefault(p + q, {})[label] = (tuple(f"{fx}|{y}" for fx in left[x])
+                                                         + tuple(f"{x}|{fy}" for fy in right[y]))
     return PrecubicalSet._adopt(cells, rows, True)
 
 
@@ -761,12 +763,14 @@ def find_isomorphism(K: PrecubicalSet, L: PrecubicalSet):
             assignment[key] = im
             used[c.dim].add(im)
             trail.append(key)
-            krow = _face_rows(K, c.dim).get(c.label, ())
-            lrow = _face_rows(L, c.dim).get(im, ())
+            krow, lrow = _face_rows(K, c.dim)[c.label], _face_rows(L, c.dim)[im]
             if [f is None for f in krow] != [f is None for f in lrow]:
                 return False
+            # a face that is not a declared cell is never followed: the
+            # defects check below rejects it
+            kbelow, lbelow = _face_rows(K, c.dim - 1), _face_rows(L, c.dim - 1)
             stack.extend((CellId(c.dim - 1, kf), lf)
-                         for kf, lf in zip(krow, lrow) if kf is not None)
+                         for kf, lf in zip(krow, lrow) if kf in kbelow and lf in lbelow)
         return True
 
     def undo(trail: list):

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain, compress, cycle, repeat
+from itertools import chain, compress, cycle, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import is_not, itemgetter
 
-from .core import PrecubicalSet, _face_rows, standard_cube, boundary_cube, tensor, validate
+from .core import (PrecubicalSet, _face_rows, _tabulate, standard_cube, boundary_cube, tensor,
+                   validate)
 
 FORMAT_VERSION = "1"
 
@@ -134,21 +135,22 @@ def _parse_columns(data) -> PrecubicalSet | None:
     cells = {}
     try:
         for dim_key, labels in cell_tree.items():
-            if str(int(dim_key)) != dim_key or type(labels) is not list \
-                    or not set(map(type, labels)) <= {str}:
+            # a canonical document lists each dimension's labels in strictly
+            # increasing order, so they are distinct and need no sorting
+            if not dim_key.isdecimal() or str(int(dim_key)) != dim_key \
+                    or type(labels) is not list or not set(map(type, labels)) <= {str} \
+                    or not all(map(str.__lt__, labels, islice(labels, 1, None))):
                 return None
             cells[int(dim_key)] = labels
-        K = PrecubicalSet.__new__(PrecubicalSet)
-        K._place_cells(cells)
     except ValueError:
         return None
-    if top_dim != K.top_dim:
+    if top_dim != max((d for d, labels in cells.items() if labels), default=-1):
         return None
 
     # an n-cell has 2n faces; the count is checked before any column is
     # built, so the columns are no longer than the document
-    faced = [d for d in sorted(cells) if d > 0 and K.cells(d)]
-    if len(records) != sum(2 * d * len(K.cells(d)) for d in faced) \
+    dims_in_order = sorted(cells)
+    if len(records) != sum(2 * d * len(cells[d]) for d in dims_in_order) \
             or not set(map(type, records)) <= {dict} \
             or not set(map(len, records)) <= {len(_FACE_FIELDS)}:
         return None
@@ -162,8 +164,8 @@ def _parse_columns(data) -> PrecubicalSet | None:
         return None
     # the columns of the complete face table in canonical order
     dims, indices, signs, owners = [], [], [], []
-    for d in faced:
-        labels = K.cells(d)
+    for d in dims_in_order:
+        labels = cells[d]
         dims += [d] * (2 * d * len(labels))
         indices += [i for i in range(1, d + 1) for _ in (0, 1)] * len(labels)
         signs += [0, 1] * (d * len(labels))
@@ -186,11 +188,11 @@ def _parse_columns(data) -> PrecubicalSet | None:
     if "\\u003" in data or data.count(":") != pairs + "".join(strings).count(":"):
         return None
 
+    # an n-cell's row is its next 2n values, and a vertex's row is ()
     rows, entries = {}, iter(values)
-    for d in faced:
-        rows[d] = dict(zip(K.cells(d), zip(*[entries] * (2 * d))))
-    K._rows = rows
-    return K
+    for d in dims_in_order:
+        rows[d] = dict(zip(cells[d], zip(*[entries] * (2 * d)) if d else repeat(())))
+    return PrecubicalSet._adopt(cells, rows, False)
 
 
 def _parse_records(data, check: bool) -> PrecubicalSet:
@@ -206,6 +208,11 @@ def _parse_records(data, check: bool) -> PrecubicalSet:
         raise FormatError(f"syntax error at position {exc.pos}: {exc.msg}") from exc
     except RecursionError as exc:
         raise FormatError("document nests arrays or objects too deeply") from exc
+    except FormatError:
+        raise
+    except ValueError as exc:
+        # int() refuses a literal longer than sys.get_int_max_str_digits()
+        raise FormatError(f"document holds an integer too long to read: {exc}") from exc
 
     # each check builds its message only when it fails
     if not isinstance(tree, dict):
@@ -259,14 +266,15 @@ def _parse_records(data, check: bool) -> PrecubicalSet:
 
     # the records go straight into the face rows, through the constructor's
     # structural checks; duplicate records are reported before any of those
-    K = PrecubicalSet.__new__(PrecubicalSet)
     try:
-        K._place(cells, (((r["dim"], r["i"], r["alpha"], r["cell"]), r["value"]) for r in records))
+        cells, rows = _tabulate(cells, (((r["dim"], r["i"], r["alpha"], r["cell"]), r["value"])
+                                        for r in records))
     except ValueError as exc:
         if len({(r["dim"], r["i"], r["alpha"], r["cell"]) for r in records}) != len(records):
             message = "duplicate face records for the same (dim, i, alpha, cell)"
             raise FormatError(message) from None
         raise FormatError(f"malformed document: {exc}") from exc
+    K = PrecubicalSet._adopt(cells, rows, False)
     top_dim = tree["top_dim"]
     if not isinstance(top_dim, int) or isinstance(top_dim, bool):
         raise FormatError(f"'top_dim' must be an integer: {top_dim!r}")
@@ -293,7 +301,8 @@ def _check(K: PrecubicalSet) -> None:
 
 def circle() -> PrecubicalSet:
     """The directed circle: one vertex, one loop edge."""
-    return PrecubicalSet._adopt({0: ["v"], 1: ["loop"]}, {1: {"loop": ("v", "v")}}, True)
+    return PrecubicalSet._adopt({0: ["v"], 1: ["loop"]}, {0: {"v": ()}, 1: {"loop": ("v", "v")}},
+                                True)
 
 
 def torus(d: int) -> PrecubicalSet:
@@ -317,10 +326,11 @@ def interval(k: int) -> PrecubicalSet:
     """The directed path with k edges and k + 1 vertices."""
     if k < 0:
         raise ValueError("interval length must be non-negative")
-    # an edge's face row is (source, target)
+    # a vertex's face row is (), an edge's is (source, target)
+    vertices = [str(i) for i in range(k + 1)]
     edges = {f"{i}-{i + 1}": (str(i), str(i + 1)) for i in range(k)}
-    return PrecubicalSet._adopt({0: [str(i) for i in range(k + 1)], 1: list(edges)},
-                                {1: edges} if k else {}, True)
+    return PrecubicalSet._adopt({0: vertices, 1: list(edges)},
+                                {0: dict.fromkeys(vertices, ()), 1: edges}, True)
 
 
 _FAMILIES = {

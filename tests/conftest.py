@@ -261,3 +261,14 @@ def reference_text(K) -> str:
     }
     tree["faces"].sort(key=lambda r: (r["dim"], r["cell"], r["i"], r["alpha"]))
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def assert_one_cell_table(K: PrecubicalSet) -> None:
+    """The storage of a complex: one row table per dimension that has cells,
+    keyed on exactly the declared labels, with a tuple of 2n faces per
+    n-cell (so () per vertex), and no second copy of the labels."""
+    assert not hasattr(K, "_members")
+    assert set(K._rows) == {d for d in range(K.top_dim + 1) if K.cells(d)}
+    for dim, table in K._rows.items():
+        assert sorted(table) == list(K.cells(dim))
+        assert all(type(row) is tuple and len(row) == 2 * dim for row in table.values())

@@ -54,6 +54,22 @@ class TestValidateCommand:
         assert code == 1
         assert "error" in err
 
+    def test_tall_cell_without_faces_validates_in_linear_time(self, tmp_path):
+        # one cell of dimension 20,000 and no face records: every face is
+        # missing, so no pair of its coordinates can break a relation, and
+        # validate must not walk those 2 * 10^8 pairs
+        path = tmp_path / "tall.json"
+        path.write_text('{"cells":{"20000":["x"]},"faces":[],"format_version":"1",'
+                        '"top_dim":20000}\n', encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "precubical.cli", "validate", str(path)],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["valid"] is False and len(report["violations"]) == 40000
+        assert {v["kind"] for v in report["violations"]} == {"missing-face"}
+        assert report["violations"][-1] == {"kind": "missing-face", "dim": 20000, "cell": "x",
+                                            "i": 20000, "alpha": 1}
+
 
 class TestReports:
     def test_info(self, capsys, square_doc):
@@ -162,7 +178,9 @@ class TestExitCodes:
             main(["no-such-command"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("data", [b"[" * 100000, b"\xff\xfe"], ids=["nested", "not-utf8"])
+    @pytest.mark.parametrize("data", [b"[" * 100000, b"\xff\xfe",
+                                      b'{"top_dim": ' + b"1" * 5000 + b"}"],
+                             ids=["nested", "not-utf8", "long-integer"])
     def test_unreadable_document_exits_1(self, capsys, tmp_path, data):
         path = tmp_path / "unreadable.json"
         path.write_bytes(data)

@@ -677,6 +677,15 @@ class TestIsomorphism:
         L = self.two_edges(("x", "y"), ("x", "z"))
         assert find_isomorphism(K, L) is None
 
+    @pytest.mark.parametrize("ends", [("p", "ghost"), ("ghost", "ghost")])
+    def test_dangling_face_gives_none(self, ends):
+        # an undeclared face has no row to follow, and no isomorphism maps it
+        K = self.two_edges(("p", "q"), ("q", "r"))
+        broken = PrecubicalSet({0: ["p", "q", "r"], 1: ["a", "b"]},
+                               {**K.face_map, (1, 1, 0, "a"): ends[0], (1, 1, 1, "a"): ends[1]})
+        assert find_isomorphism(broken, K) is None
+        assert find_isomorphism(K, broken) is None
+
     def test_cube7_against_itself(self):
         # 2,187 cells: one recursive call per cell overran the recursion limit
         K = standard_cube(7)

@@ -390,6 +390,11 @@ MALFORMED = [
     ("repeated-face-field", json.dumps(SQUARE_TREE).replace('"cell": "*0"', '"cell": "*0", "cell": "*1"', 1),
      "repeated key in a JSON object: 'cell'"),
     ("nested-too-deep", "[" * 100000, "document nests arrays or objects too deeply"),
+    # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
+    ("long-integer", json.dumps(SQUARE_TREE).replace('"top_dim": 2', '"top_dim": ' + "1" * 5000),
+     "document holds an integer too long to read: Exceeds the limit (4300 digits) for integer "
+     "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase "
+     "the limit"),
     ("not-utf8", b"\xff\xfe",
      "document is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ]

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from precubical import FormatError, document, parse, serialize, standard_cube
 
-from conftest import glued_path, random_glued_complex, reference_text
+from conftest import assert_one_cell_table, glued_path, random_glued_complex, reference_text
 
 
 @settings(max_examples=60, deadline=None)
@@ -23,8 +23,11 @@ def test_random_gluings_round_trip(seed):
     assert text == reference_text(K)
     back = parse(text)
     assert back == K
-    assert back == document._parse_records(text, True)
+    slow = document._parse_records(text, True)
+    assert back == slow
     assert serialize(back) == text
+    for X in (K, back, slow):
+        assert_one_cell_table(X)
 
 
 # the canonical documents mutated below: the square, and a path of two
@@ -144,6 +147,7 @@ def outcome(read, data, check):
         K = read(data, check)
     except FormatError as exc:
         return str(exc), exc.violations
+    assert_one_cell_table(K)
     return K, K._valid
 
 

@@ -41,7 +41,7 @@ from precubical import (
     validate,
 )
 from precubical import core
-from conftest import klein_bottle, random_glued_complex
+from conftest import assert_one_cell_table, klein_bottle, random_glued_complex
 
 
 def corrupted_cube() -> PrecubicalSet:
@@ -152,11 +152,14 @@ def trusted_results():
 
 def test_trusted_builders_give_valid_complexes():
     # validate runs in full whatever the complex remembers, and the checking
-    # constructor must accept the same cells and faces and give an equal complex
+    # constructor must accept the same cells and faces and give an equal
+    # complex; both keep every cell, vertices included, in one face row
     for name, X in trusted_results():
         assert validate(X) == [], name
         rebuilt = PrecubicalSet({d: X.cells(d) for d in range(X.top_dim + 1)}, X.face_map)
         assert X == rebuilt, name
+        assert_one_cell_table(X)
+        assert_one_cell_table(rebuilt)
 
 
 def test_validate_checks_a_trusted_complex_in_full():
