@@ -414,10 +414,11 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     relations: list[Violation] = []
     for dim in range(1, K.top_dim + 1):
         low, mid, table = _face_rows(K, dim - 2), _face_rows(K, dim - 1), _face_rows(K, dim)
+        declared, every = mid.__contains__, range(1, dim + 1)
         for label in K.cells(dim):
             row = table[label]
-            coords = range(1, dim + 1)
-            if not all(map(mid.__contains__, row)):
+            coords = every
+            if not all(map(declared, row)):
                 for slot, value in enumerate(row):
                     i, alpha = slot // 2 + 1, slot % 2
                     if value is None:
@@ -429,7 +430,7 @@ def validate(K: PrecubicalSet) -> list[Violation]:
                 # ingredient faces are declared cells, so only coordinates
                 # with a declared face are paired: a cell whose faces are
                 # missing costs time linear in its dimension
-                coords = [k for k in coords if row[2 * k - 2] in mid or row[2 * k - 1] in mid]
+                coords = [k for k in every if row[2 * k - 2] in mid or row[2 * k - 1] in mid]
             for j in coords:
                 for i in coords:
                     if i == j:
@@ -483,8 +484,8 @@ def standard_cube(n: int) -> PrecubicalSet:
         stars = [pos for pos, ch in enumerate(word) if ch == STAR]
         cells[len(stars)].append(word)
         # the (i, alpha) face replaces the i-th star, left to right, with alpha
-        rows[len(stars)][word] = tuple(word[:pos] + alpha + word[pos + 1:]
-                                       for pos in stars for alpha in "01")
+        rows[len(stars)][word] = tuple([word[:pos] + alpha + word[pos + 1:]
+                                        for pos in stars for alpha in "01"])
     return PrecubicalSet._adopt(cells, rows, True)
 
 
@@ -692,9 +693,9 @@ def pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
                 out.append(name)
                 # faces are class-independent because f and g commute
                 # with faces, so the first member met names them
-                rows.setdefault(dim, {})[name] = tuple(
+                rows.setdefault(dim, {})[name] = tuple([
                     renamed.get((dim - 1, side, value)) or tag + value
-                    for value in table[label])
+                    for value in table[label]])
     return PrecubicalSet._adopt(cells, rows, True)
 
 
@@ -727,8 +728,8 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
                     label = f"{x}|{y}"
                     cells.setdefault(p + q, []).append(label)
                     # the left factor's faces fill the first 2p slots of the row
-                    rows.setdefault(p + q, {})[label] = (tuple(f"{fx}|{y}" for fx in left[x])
-                                                         + tuple(f"{x}|{fy}" for fy in right[y]))
+                    rows.setdefault(p + q, {})[label] = tuple([f"{fx}|{y}" for fx in left[x]]
+                                                              + [f"{x}|{fy}" for fy in right[y]])
     return PrecubicalSet._adopt(cells, rows, True)
 
 

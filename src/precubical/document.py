@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain, compress, cycle, islice, repeat
+from itertools import chain, compress, cycle, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import is_not, itemgetter
 
@@ -135,11 +135,8 @@ def _parse_columns(data) -> PrecubicalSet | None:
     cells = {}
     try:
         for dim_key, labels in cell_tree.items():
-            # a canonical document lists each dimension's labels in strictly
-            # increasing order, so they are distinct and need no sorting
             if not dim_key.isdecimal() or str(int(dim_key)) != dim_key \
-                    or type(labels) is not list or not set(map(type, labels)) <= {str} \
-                    or not all(map(str.__lt__, labels, islice(labels, 1, None))):
+                    or type(labels) is not list or not set(map(type, labels)) <= {str}:
                 return None
             cells[int(dim_key)] = labels
     except ValueError:
@@ -162,7 +159,8 @@ def _parse_columns(data) -> PrecubicalSet | None:
     if not all(set(map(type, column)) <= {kind}
                for column, kind in zip(columns, _FACE_FIELDS.values())):
         return None
-    # the columns of the complete face table in canonical order
+    # the columns of the complete face table, cells in the order the
+    # document lists them: canonical order when the labels are sorted
     dims, indices, signs, owners = [], [], [], []
     for d in dims_in_order:
         labels = cells[d]
@@ -192,7 +190,11 @@ def _parse_columns(data) -> PrecubicalSet | None:
     rows, entries = {}, iter(values)
     for d in dims_in_order:
         rows[d] = dict(zip(cells[d], zip(*[entries] * (2 * d)) if d else repeat(())))
-    return PrecubicalSet._adopt(cells, rows, False)
+    try:
+        return PrecubicalSet._adopt(cells, rows, False)
+    except ValueError:
+        # a repeated label: the per-record pass names it
+        return None
 
 
 def _parse_records(data, check: bool) -> PrecubicalSet:
