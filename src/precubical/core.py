@@ -36,6 +36,7 @@ path, _tabulate, is shared with parse.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from operator import attrgetter
 
 LETTERS = "01*"
@@ -371,7 +372,7 @@ def _require_distinct(cells, rows) -> None:
     its row table, keyed on the labels, is shorter than its label list."""
     for dim, labels in cells.items():
         if len(rows.get(dim, ())) < len(labels):
-            dupes = sorted({l for l in labels if labels.count(l) > 1})
+            dupes = sorted(label for label, n in Counter(labels).items() if n > 1)
             raise ValueError(f"duplicate labels in dimension {dim}: {dupes}")
 
 

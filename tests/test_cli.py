@@ -70,6 +70,19 @@ class TestValidateCommand:
         assert report["violations"][-1] == {"kind": "missing-face", "dim": 20000, "cell": "x",
                                             "i": 20000, "alpha": 1}
 
+    def test_repeated_label_among_many_is_named_in_linear_time(self, tmp_path):
+        # naming the repeated label counted every label once per label:
+        # 100,001 vertex labels took minutes
+        labels = [f"v{k}" for k in range(100000)] + ["v0"]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"cells": {"0": labels}, "faces": [], "format_version": "1",
+                                    "top_dim": 0}), encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "precubical.cli", "validate", str(path)],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("error: malformed document: duplicate labels in dimension 0: "
+                               "['v0']\n")
+
 
 class TestReports:
     def test_info(self, capsys, square_doc):
