@@ -15,8 +15,7 @@ fields are exported.
 
 from __future__ import annotations
 
-from .core import CellId, PrecubicalSet, _Value, _set
-from .flow import corner
+from .core import CellId, PrecubicalSet, _Value, _face_rows, _require_valid, _set
 
 
 class FlowAtom(_Value):
@@ -78,12 +77,21 @@ class GlobularDecomposition(_Value):
 
 def globular_decomposition(K: PrecubicalSet) -> GlobularDecomposition:
     """The realized flow of K: one atom per positive-dimensional cube,
-    running between its corners, one stage per dimension that has cells."""
+    running between its corners, one stage per dimension that has cells.
+
+    The corners are those of flow.corner, found one dimension at a time:
+    a cube's all-alpha corner is that of its face d[1, alpha].
+    """
+    _require_valid(K)
     stages: dict[int, tuple[FlowAtom, ...]] = {}
+    low = high = {v: v for v in K.cells(0)}
     for dim in range(1, K.top_dim + 1):
-        cubes = [CellId(dim, label) for label in K.cells(dim)]
-        if cubes:
-            stages[dim] = tuple(FlowAtom(c, corner(K, c, 0), corner(K, c, 1)) for c in cubes)
+        rows = _face_rows(K, dim)
+        low, high = ({label: low[row[0]] for label, row in rows.items()},
+                     {label: high[row[1]] for label, row in rows.items()})
+        if rows:
+            stages[dim] = tuple(FlowAtom(CellId(dim, label), low[label], high[label])
+                                for label in K.cells(dim))
     return GlobularDecomposition(K.cells(0), stages)
 
 

@@ -22,6 +22,21 @@ the sweeps entirely.  When a sweep finds no such pivot, a remainder step
 reduces the column and then the row of the least entry by floor
 division, which leaves a smaller entry for the next sweep.
 
+homology splits the boundaries from the top dimension down and clears:
+the split of d_{n+1} reports the n-cells it pivoted on, and d_n is split
+without those columns.  This is the clearing step of persistent homology
+(Chen and Kerber 2011; Bauer, Kerber and Reininghaus 2014), and it stays
+exact over Z.  The row operations of d_{n+1} change the basis of C_n.
+In a sweep only pivot rows are ever the source of a row operation, so
+every other basis vector e_r is left alone, and the new vector b of a
+pivot row with pivot p satisfies p.b = d(something).  Then p.d(b) = 0,
+so d(b) = 0 because C_{n-1} is free.  In the new basis the columns of
+d_n at the pivot rows are zero and the others are unchanged, so d_n has
+the invariant factors, the rank included, of its uncleared columns.
+That holds for non-unit pivots such as the 2s of Klein-bottle powers
+too.  A remainder step can take as source a row that never becomes a
+pivot, so when one ran in d_{n+1}, d_n is split whole.
+
 Bases are ordered lexicographically by cell label, making every matrix and
 report reproducible bit for bit.
 """
@@ -110,13 +125,19 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     # compress picks out a dense row's nonzero entries without a Python-level test each
     rows = [{c: int(v) for c, v in row.items() if v} if isinstance(row, dict)
             else {c: int(row[c]) for c in compress(count(), row)} for row in matrix]
-    pivots = _split_pivots(rows)
+    return _invariant_factors(_split_pivots(rows)[0].values())
+
+
+def _invariant_factors(pivots) -> tuple[int, ...]:
+    """Invariant factors of a diagonal of positive pivots: leading 1s for
+    the units, then the others merged into divisibility order."""
     factors = [p for p in pivots if p > 1]
     return (1,) * (len(pivots) - len(factors)) + _diagonal_factors(factors)
 
 
-def _split_pivots(rows: list[dict]) -> list[int]:
-    """Split sparse rows into a diagonal of pivots in place; their |values|.
+def _split_pivots(rows: list[dict]) -> tuple[dict, bool]:
+    """Split sparse rows into a diagonal of pivots in place; the |value| of
+    each pivot by its row, and whether a remainder step ran.
 
     Sweeps the columns from last to first, an order that creates fewer new
     entries on cubical boundaries, and takes each pivot p that divides
@@ -140,12 +161,17 @@ def _split_pivots(rows: list[dict]) -> list[int]:
     column, one of them now holds a remainder smaller than |p|.  Each
     sweep that finds pivots empties rows and each remainder step shrinks
     the least entry without filling a row, so the loop ends.
+
+    Only pivot rows are the source of a sweep's row operations; a
+    remainder step may take as source a row that never becomes a pivot.
+    Clearing, in the module docstring, rests on the difference.
     """
     cols: dict[int, set] = {}
     for r, row in enumerate(rows):
         for c in row:
             cols.setdefault(c, set()).add(r)
-    pivots = []
+    pivots = {}
+    remainder = False
     while cols:
         found = False
         for c in sorted(cols, reverse=True):
@@ -170,11 +196,12 @@ def _split_pivots(rows: list[dict]) -> list[int]:
                 if not members:
                     del cols[j]
             rows[pivot] = {}
-            pivots.append(size)
+            pivots[pivot] = size
             found = True
         if found:
             continue
         # the remainder step: p divides at most one of its row and column
+        remainder = True
         _, pivot, c = min((abs(v), r, c) for r, row in enumerate(rows) for c, v in row.items())
         _reduce_column(rows, cols, pivot, c)
         if len(cols[c]) == 1:
@@ -187,7 +214,7 @@ def _split_pivots(rows: list[dict]) -> list[int]:
                     cols[j].discard(pivot)
                     if not cols[j]:
                         del cols[j]
-    return pivots
+    return pivots, remainder
 
 
 def _reduce_column(rows: list[dict], cols: dict, pivot: int, c: int) -> None:
@@ -228,6 +255,22 @@ def _diagonal_factors(entries: list[int]) -> tuple[int, ...]:
     return tuple(d)
 
 
+def _boundary_factors(complex_: ChainComplex) -> dict[int, tuple[int, ...]]:
+    """Invariant factors of each boundary d_n, n = top .. 1, split from the
+    top down, each without the columns the one above cleared (see the
+    module docstring)."""
+    factors = {}
+    cleared = {}
+    for d in range(complex_.top_dim, 0, -1):
+        # the working copy the split changes in place, cleared columns left out
+        rows = [{c: v for c, v in row.items() if c not in cleared} if cleared else row.copy()
+                for row in complex_.rows(d)]
+        pivots, remainder = _split_pivots(rows)
+        factors[d] = _invariant_factors(pivots.values())
+        cleared = {} if remainder else pivots
+    return factors
+
+
 class HomologyResult(_Value):
     """Betti numbers and torsion coefficients, indexed by dimension 0..top."""
 
@@ -255,7 +298,7 @@ def homology(K: PrecubicalSet) -> HomologyResult:
     top = complex_.top_dim
     if top < 0:
         return HomologyResult((), ())
-    factors = {d: smith_normal_form(complex_.rows(d)) for d in range(1, top + 2)}
+    factors = _boundary_factors(complex_)
     betti = []
     torsion = []
     for d in range(top + 1):

@@ -23,6 +23,8 @@ from precubical import (
     validate,
 )
 
+from precubical.homology import ChainComplex, _boundary_factors, _split_pivots
+
 from conftest import (
     CORPUS,
     is_zero,
@@ -91,6 +93,52 @@ def oracle_homology(K):
         betti.append(complex_.rank_of_chains(d) - len(inbound) - len(outbound))
         torsion.append(tuple(f for f in outbound if f > 1))
     return tuple(betti), tuple(torsion)
+
+
+def remainder_complex():
+    """One vertex v, one loop a, three squares t, u and w with every face a,
+    and two 3-cells c1 and c2.  Its d_3 has rows {0: -3, 1: -2} and
+    {0: 3, 1: 2}: no entry divides its row and column, so a remainder step
+    must run before any pivot is found.  Homology Z, Z, Z^2, Z."""
+    faces = {(1, 1, alpha, "a"): "v" for alpha in (0, 1)}
+    faces.update({(2, i, alpha, s): "a" for s in "tuw" for i in (1, 2) for alpha in (0, 1)})
+    for cell, placed in (("c1", {"t": ((1, 1), (2, 0), (3, 1)), "u": ((1, 0), (2, 1), (3, 0))}),
+                         ("c2", {"t": ((1, 1), (2, 0)), "u": ((1, 0), (2, 1)),
+                                 "w": ((3, 0), (3, 1))})):
+        faces.update({(3, i, alpha, cell): s for s, slots in placed.items() for i, alpha in slots})
+    return PrecubicalSet({0: ["v"], 1: ["a"], 2: ["t", "u", "w"], 3: ["c1", "c2"]}, faces)
+
+
+def random_chain_complex(rng) -> ChainComplex:
+    """A random integer chain complex with torsion, not cubical: diagonal
+    boundaries D_n with entries 1, 2, 3, 4 or 6 on disjoint coordinates (so
+    D_n D_{n+1} = 0), each put in random bases as P_{n-1} D_n P_n^-1 by
+    products of elementary unimodular operations.  Its boundaries rarely
+    have a pivot that divides its row and column, so remainder steps run."""
+    top = rng.randint(1, 3)
+    sizes = [rng.randint(1, 6) for _ in range(top + 1)]
+    ranks = [0] * (top + 2)
+    for d in range(top, 0, -1):
+        ranks[d] = rng.randint(0, min(sizes[d] - ranks[d + 1], sizes[d - 1]))
+    bases, inverses = [], []
+    for n in sizes:
+        P = [[int(i == j) for j in range(n)] for i in range(n)]
+        Pinv = [row[:] for row in P]
+        for _ in range(2 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            q = rng.choice((-2, -1, 1, 2))
+            for row in P:  # P E with E = I + q e_i e_j^T
+                row[j] += q * row[i]
+            Pinv[i] = [a - q * b for a, b in zip(Pinv[i], Pinv[j])]  # E^-1 Pinv
+        bases.append(P)
+        inverses.append(Pinv)
+    boundary = {}
+    for d in range(1, top + 1):
+        D = [[0] * sizes[d] for _ in range(sizes[d - 1])]
+        for k in range(ranks[d]):
+            D[k][sizes[d] - 1 - k] = rng.choice((1, 2, 3, 4, 6))
+        boundary[d] = dict_rows(matmul(matmul(bases[d - 1], D), inverses[d]))
+    return ChainComplex({d: [f"e{k}" for k in range(n)] for d, n in enumerate(sizes)}, boundary)
 
 
 class TestChainComplex:
@@ -285,6 +333,52 @@ class TestHomology:
         betti, torsion = oracle_homology(K)
         assert result.betti == betti
         assert result.torsion == torsion
+
+    def test_gluings_and_klein_powers_match_sympy_oracle(self):
+        rng = random.Random(1501)
+        for K in [klein_power(1), klein_power(2)] + [random_glued_complex(rng) for _ in range(40)]:
+            assert sum(K.cell_counts()) <= 150
+            result = homology(K)
+            assert (result.betti, result.torsion) == oracle_homology(K)
+
+    def test_smith_normal_form_agrees_with_homology(self):
+        # the rank of d_{n+1} is c_n - betti_n - rank d_n, from rank d_0 = 0
+        rng = random.Random(1502)
+        complexes = [K for _, K in CORPUS] + [klein_power(p) for p in (1, 2, 3)]
+        complexes += [random_glued_complex(rng) for _ in range(20)]
+        for K in complexes:
+            result = homology(K)
+            complex_ = chain_complex(K)
+            rank = 0
+            for d in range(K.top_dim + 1):
+                factors = smith_normal_form(complex_.rows(d + 1))
+                rank = complex_.rank_of_chains(d) - result.betti[d] - rank
+                assert len(factors) == rank
+                assert tuple(f for f in factors if f > 1) == result.torsion[d]
+
+    def test_remainder_step_turns_clearing_off(self):
+        K = remainder_complex()
+        assert validate(K) == []
+        rows = chain_complex(K).rows(3)
+        assert rows == [{0: -3, 1: -2}, {0: 3, 1: 2}, {}]
+        assert _split_pivots([dict(row) for row in rows])[1]  # a remainder step ran
+        result = homology(K)
+        assert (result.betti, result.torsion) == ((1, 1, 2, 1), ((), (), (), ()))
+        assert (result.betti, result.torsion) == oracle_homology(K)
+
+    def test_split_reports_pivot_rows(self):
+        # rows 2 and 0 hold the unit pivots of a sweep; [[2, 3]] needs a remainder step
+        assert _split_pivots([{0: 1, 1: 1}, {}, {1: 1}]) == ({2: 1, 0: 1}, False)
+        assert _split_pivots([{0: 2, 1: 3}]) == ({0: 1}, True)
+
+    def test_clearing_on_random_chain_complexes(self):
+        rng = random.Random(1503)
+        for _ in range(150):
+            complex_ = random_chain_complex(rng)
+            factors = _boundary_factors(complex_)
+            for d in range(1, complex_.top_dim + 1):
+                assert is_zero(matmul(complex_.matrix(d - 1), complex_.matrix(d)))
+                assert factors[d] == oracle_invariant_factors(complex_.matrix(d))
 
     def test_cylinder_invariance(self):
         for K in (circle(), boundary_cube(2), torus(2), interval(3)):
