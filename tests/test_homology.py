@@ -113,8 +113,8 @@ def random_chain_complex(rng) -> ChainComplex:
     """A random integer chain complex with torsion, not cubical: diagonal
     boundaries D_n with entries 1, 2, 3, 4 or 6 on disjoint coordinates (so
     D_n D_{n+1} = 0), each put in random bases as P_{n-1} D_n P_n^-1 by
-    products of elementary unimodular operations.  Its boundaries rarely
-    have a pivot that divides its row and column, so remainder steps run."""
+    products of elementary unimodular operations.  About a third of its
+    boundaries need a remainder step, where clearing must turn off."""
     top = rng.randint(1, 3)
     sizes = [rng.randint(1, 6) for _ in range(top + 1)]
     ranks = [0] * (top + 2)
