@@ -713,9 +713,12 @@ def disjoint_union(K: PrecubicalSet, M: PrecubicalSet) -> PrecubicalSet:
 def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
     """Tensor product: (K (x) L)_n is the disjoint union of K_p x L_q over p+q = n.
 
-    A pair cell is labeled "x|y".  Faces act on the left factor for
-    i <= p and on the right factor, with the index shifted by p, otherwise.
-    An invalid factor raises ValueError naming its first violation.
+    A pair cell is labeled "x|y".  When labels holding "|" would give two
+    pair cells one name, every factor label is written with "\\" and "|"
+    escaped by a backslash first, which makes the names distinct.  Faces
+    act on the left factor for i <= p and on the right factor, with the
+    index shifted by p, otherwise.  An invalid factor raises ValueError
+    naming its first violation.
     """
     _require_valid(K)
     _require_valid(L)
@@ -731,7 +734,21 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
                     # the left factor's faces fill the first 2p slots of the row
                     rows.setdefault(p + q, {})[label] = tuple([f"{fx}|{y}" for fx in left[x]]
                                                               + [f"{x}|{fy}" for fy in right[y]])
+    if any(len(rows[dim]) < len(labels) for dim, labels in cells.items()):
+        return tensor(_escape_labels(K), _escape_labels(L))
     return PrecubicalSet._adopt(cells, rows, True)
+
+
+def _escape_labels(K: PrecubicalSet) -> PrecubicalSet:
+    """K with "\\" and "|" escaped by a backslash in every label: in "x|y"
+    of two such labels the first "|" not escaped ends x."""
+    def escape(label):
+        return label.replace("\\", "\\\\").replace("|", "\\|")
+    return PrecubicalSet._adopt(
+        {dim: list(map(escape, labels)) for dim, labels in K._cells.items()},
+        {dim: {escape(label): tuple(map(escape, row)) for label, row in table.items()}
+         for dim, table in K._rows.items()},
+        K._valid)
 
 
 def find_isomorphism(K: PrecubicalSet, L: PrecubicalSet):

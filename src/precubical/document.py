@@ -26,10 +26,15 @@ followed by a newline:
 So serialize(parse(serialize(K))) is byte-identical to serialize(K).
 
 Both directions move each dimension's face records as whole columns.
-parse reads a canonical document that has every face entry, in the order
-above and with no repeated key, in one columnar pass.  Every other layout
-is still accepted, through a pass that reads one record at a time and
-gives every rejected document its message.
+parse accepts any layout and has one reader.  It reads the text without
+json's repeated-key hook and checks the tree's shape, one whole column at
+a time.  When the tree has exactly the four top-level keys and the text
+has no ":" escape, the number of ":" in the text vouches that no key was
+repeated.  Any other document, and any that fails a shape check, is read
+again with the hook, so a repeated key is reported before anything else.
+When the face columns are the complete face table of the cells in the
+order they are listed, the rows come straight from the value column;
+otherwise each record goes through the constructor's structural checks.
 """
 
 from __future__ import annotations
@@ -107,103 +112,14 @@ def parse(data, check: bool = True) -> PrecubicalSet:
     document, from bytes that are not UTF-8 to a violated axiom, raises
     FormatError.
     """
-    K = _parse_columns(data)
-    if K is None:
-        return _parse_records(data, check)
-    if check:
-        _check(K)
-    return K
-
-
-def _parse_columns(data) -> PrecubicalSet | None:
-    """The complex of a canonical document that has every face entry, read
-    a column at a time; None for any other input, which _parse_records
-    then reads from the start."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        # no repeated-key hook: the colon count below stands in for it
-        tree = json.loads(data) if isinstance(data, str) else None
-    except (ValueError, RecursionError):
-        return None
-    if type(tree) is not dict or tree.keys() != _TOP_KEYS \
-            or tree["format_version"] != FORMAT_VERSION:
-        return None
-    cell_tree, records, top_dim = tree["cells"], tree["faces"], tree["top_dim"]
-    if type(cell_tree) is not dict or type(records) is not list or type(top_dim) is not int:
-        return None
-    cells = {}
-    try:
-        for dim_key, labels in cell_tree.items():
-            if not dim_key.isdecimal() or str(int(dim_key)) != dim_key \
-                    or type(labels) is not list or not set(map(type, labels)) <= {str}:
-                return None
-            cells[int(dim_key)] = labels
-    except ValueError:
-        return None
-    if top_dim != max((d for d, labels in cells.items() if labels), default=-1):
-        return None
-
-    # an n-cell has 2n faces; the count is checked before any column is
-    # built, so the columns are no longer than the document
-    dims_in_order = sorted(cells)
-    if len(records) != sum(2 * d * len(cells[d]) for d in dims_in_order) \
-            or not set(map(type, records)) <= {dict} \
-            or not set(map(len, records)) <= {len(_FACE_FIELDS)}:
-        return None
-    # a record of five keys from which every field can be read has exactly those
-    try:
-        columns = [list(map(itemgetter(field), records)) for field in _FACE_FIELDS]
-    except KeyError:
-        return None
-    if not all(set(map(type, column)) <= {kind}
-               for column, kind in zip(columns, _FACE_FIELDS.values())):
-        return None
-    # the columns of the complete face table, cells in the order the
-    # document lists them: canonical order when the labels are sorted
-    dims, indices, signs, owners = [], [], [], []
-    for d in dims_in_order:
-        labels = cells[d]
-        dims += [d] * (2 * d * len(labels))
-        indices += [i for i in range(1, d + 1) for _ in (0, 1)] * len(labels)
-        signs += [0, 1] * (d * len(labels))
-        owners += chain.from_iterable(map(repeat, labels, repeat(2 * d)))
-    if columns[:4] != [dims, indices, signs, owners]:
-        return None
-
-    # json.loads keeps only the last of two equal keys, so count that no
-    # pair was dropped.  Every key/value pair of the text has exactly one
-    # ":" outside strings, and a dropped pair leaves one more pair in the
-    # text than in the tree.  No key of this tree holds a colon, and with no
-    # : escape in the text (no "\u003" at all) each of its strings (labels,
-    # cell and value columns) has exactly the colons of its own literal.  So
-    # the text's ":" count is the tree's pairs plus its strings' colons when
-    # nothing was dropped, and larger when something was: a dropped pair
-    # adds its own ":", and the literals it held can only add more.
-    values = columns[4]
-    pairs = len(_TOP_KEYS) + len(cell_tree) + len(_FACE_FIELDS) * len(records)
-    strings = chain(chain.from_iterable(cells.values()), columns[3], values)
-    if "\\u003" in data or data.count(":") != pairs + "".join(strings).count(":"):
-        return None
-
-    # an n-cell's row is its next 2n values, and a vertex's row is ()
-    rows, entries = {}, iter(values)
-    for d in dims_in_order:
-        rows[d] = dict(zip(cells[d], zip(*[entries] * (2 * d)) if d else repeat(())))
-    try:
-        return PrecubicalSet._adopt(cells, rows, False)
-    except ValueError:
-        # a repeated label: the per-record pass names it
-        return None
-
-
-def _parse_records(data, check: bool) -> PrecubicalSet:
-    """parse, one record at a time: the path of every document that the
-    columnar pass does not read, and the reference it is tested against."""
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        tree = json.loads(data, object_pairs_hook=_object)
+        # json.loads reads a bytearray in whatever UTF encoding it detects,
+        # so only a str is counted; any other input takes the hooked read
+        shape = _unhooked_shape(data) if isinstance(data, str) else None
+        if shape is None:
+            shape = _shape(json.loads(data, object_pairs_hook=_object))
     except UnicodeDecodeError as exc:
         raise FormatError(f"document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -215,7 +131,63 @@ def _parse_records(data, check: bool) -> PrecubicalSet:
     except ValueError as exc:
         # int() refuses a literal longer than sys.get_int_max_str_digits()
         raise FormatError(f"document holds an integer too long to read: {exc}") from exc
+    cells, columns, top_dim = shape
 
+    # the face rows go through the constructor's structural checks, unless
+    # the columns are the complete face table; duplicate records are
+    # reported before any structural failure
+    rows = _table_rows(cells, columns)
+    try:
+        if rows is None:
+            cells, rows = _tabulate(cells, zip(zip(*columns[:4]), columns[4]))
+        K = PrecubicalSet._adopt(cells, rows, False)
+    except ValueError as exc:
+        if len(set(zip(*columns[:4]))) != len(columns[4]):
+            message = "duplicate face records for the same (dim, i, alpha, cell)"
+            raise FormatError(message) from None
+        raise FormatError(f"malformed document: {exc}") from exc
+    if not isinstance(top_dim, int) or isinstance(top_dim, bool):
+        raise FormatError(f"'top_dim' must be an integer: {top_dim!r}")
+    if top_dim != K.top_dim:
+        raise FormatError(
+            f"declared top_dim {top_dim} does not match cells (top dimension {K.top_dim})"
+        )
+    if check:
+        _check(K)
+    return K
+
+
+def _unhooked_shape(text: str):
+    """The _shape of text read without the repeated-key hook, when the
+    colon count vouches that no key is repeated; None otherwise, and for
+    every text that fails a check, so that the hooked read reports it."""
+    if "\\u003" in text:
+        return None
+    try:
+        cells, columns, top_dim = _shape(json.loads(text))
+    except (ValueError, RecursionError):
+        return None
+    # json.loads keeps only the last of two equal keys, so count that no
+    # pair was dropped.  Every key/value pair of the text has exactly one
+    # ":" outside strings, and with no : escape in the text (no "\u003" at
+    # all) each string has exactly the colons of its own literal.  The sum
+    # below counts the pairs _shape read (the four top-level keys, the
+    # dimension keys and five fields a record) and the colons of the
+    # strings it read (labels, cell and value columns); none of their keys
+    # holds one.  Any other pair or string in the text, such as a fifth
+    # top-level key or a pair that json.loads dropped, adds at least one
+    # ":" to the text's count and none to the sum.
+    pairs = len(_TOP_KEYS) + len(cells) + len(_FACE_FIELDS) * len(columns[4])
+    strings = chain(chain.from_iterable(cells.values()), columns[3], columns[4])
+    if text.count(":") != pairs + "".join(strings).count(":"):
+        return None
+    return cells, columns, top_dim
+
+
+def _shape(tree) -> tuple[dict, list, object]:
+    """The cells {dim: labels}, face columns (dim, i, alpha, cell, value)
+    and top_dim of a JSON tree, through the document's shape checks in
+    order: the first that fails raises FormatError."""
     # each check builds its message only when it fails
     if not isinstance(tree, dict):
         raise FormatError("document must be a JSON object")
@@ -244,49 +216,65 @@ def _parse_records(data, check: bool) -> PrecubicalSet:
             )
         if not isinstance(labels, list):
             raise FormatError(f"cells[{dim_key!r}] must be an array")
-        for label in labels:
-            if not isinstance(label, str):
-                raise FormatError(f"cell label is not a string: {label!r}")
+        if not set(map(type, labels)) <= {str}:
+            label = next(label for label in labels if type(label) is not str)
+            raise FormatError(f"cell label is not a string: {label!r}")
         cells[dim] = labels
 
-    records = tree["faces"]
-    for record in records:
-        if not isinstance(record, dict):
-            raise FormatError(f"face record must be an object: {record!r}")
-        if record.keys() != _FACE_FIELDS.keys():
-            raise FormatError(
-                f"face record must have exactly the keys dim, i, alpha, cell, value: {record!r}"
-            )
-        # json.loads yields exact int and str objects, so the type tests
-        # below reject bools and floats
-        for field in ("dim", "i", "alpha"):
-            if type(record[field]) is not int:
-                raise FormatError(f"face field {field!r} must be an integer: {record!r}")
-        for field in ("cell", "value"):
-            if type(record[field]) is not str:
-                raise FormatError(f"face field {field!r} must be a string: {record!r}")
+    # the fields are read and type-checked as whole columns: a record of
+    # five keys from which every field can be read has exactly those.  The
+    # loop below runs only when that fails, to name the first bad record.
+    records, columns = tree["faces"], None
+    if set(map(type, records)) <= {dict} and set(map(len, records)) <= {len(_FACE_FIELDS)}:
+        try:
+            columns = [list(map(itemgetter(field), records)) for field in _FACE_FIELDS]
+        except KeyError:
+            pass
+    if columns is None or not all(set(map(type, column)) <= {kind}
+                                  for column, kind in zip(columns, _FACE_FIELDS.values())):
+        for record in records:
+            if not isinstance(record, dict):
+                raise FormatError(f"face record must be an object: {record!r}")
+            if record.keys() != _FACE_FIELDS.keys():
+                raise FormatError(
+                    f"face record must have exactly the keys dim, i, alpha, cell, value: {record!r}"
+                )
+            # json.loads yields exact int and str objects, so the type
+            # tests below reject bools and floats
+            for field in ("dim", "i", "alpha"):
+                if type(record[field]) is not int:
+                    raise FormatError(f"face field {field!r} must be an integer: {record!r}")
+            for field in ("cell", "value"):
+                if type(record[field]) is not str:
+                    raise FormatError(f"face field {field!r} must be a string: {record!r}")
+    return cells, columns, tree["top_dim"]
 
-    # the records go straight into the face rows, through the constructor's
-    # structural checks; duplicate records are reported before any of those
-    try:
-        cells, rows = _tabulate(cells, (((r["dim"], r["i"], r["alpha"], r["cell"]), r["value"])
-                                        for r in records))
-    except ValueError as exc:
-        if len({(r["dim"], r["i"], r["alpha"], r["cell"]) for r in records}) != len(records):
-            message = "duplicate face records for the same (dim, i, alpha, cell)"
-            raise FormatError(message) from None
-        raise FormatError(f"malformed document: {exc}") from exc
-    K = PrecubicalSet._adopt(cells, rows, False)
-    top_dim = tree["top_dim"]
-    if not isinstance(top_dim, int) or isinstance(top_dim, bool):
-        raise FormatError(f"'top_dim' must be an integer: {top_dim!r}")
-    if top_dim != K.top_dim:
-        raise FormatError(
-            f"declared top_dim {top_dim} does not match cells (top dimension {K.top_dim})"
-        )
-    if check:
-        _check(K)
-    return K
+
+def _table_rows(cells, columns) -> dict | None:
+    """The face rows of cells when the columns are their complete face
+    table, each cell's 2n entries in slot order and the cells in the order
+    cells lists them (canonical order when the labels are sorted); None
+    otherwise."""
+    # an n-cell has 2n faces; the count is checked before the table is
+    # built, so the table is no longer than the document
+    if min(cells, default=0) < 0 \
+            or len(columns[4]) != sum(2 * d * len(labels) for d, labels in cells.items()):
+        return None
+    # a dimension without cells has no rows, however large it is
+    filled = sorted(d for d, labels in cells.items() if labels)
+    dims, indices, signs, owners = [], [], [], []
+    for d in filled:
+        labels = cells[d]
+        dims += [d] * (2 * d * len(labels))
+        indices += [i for i in range(1, d + 1) for _ in (0, 1)] * len(labels)
+        signs += [0, 1] * (d * len(labels))
+        owners += chain.from_iterable(map(repeat, labels, repeat(2 * d)))
+    if columns[:4] != [dims, indices, signs, owners]:
+        return None
+    # an n-cell's row is its next 2n values, and a vertex's row is ()
+    entries = iter(columns[4])
+    return {d: dict(zip(cells[d], zip(*[entries] * (2 * d)) if d else repeat(())))
+            for d in filled}
 
 
 def _check(K: PrecubicalSet) -> None:

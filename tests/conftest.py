@@ -26,6 +26,8 @@ from precubical import (
     standard_cube,
     torus,
 )
+from precubical.core import _tabulate
+from precubical.document import FORMAT_VERSION, FormatError, _FACE_FIELDS, _check, _object
 
 
 def glued_path() -> PrecubicalSet:
@@ -272,3 +274,106 @@ def assert_one_cell_table(K: PrecubicalSet) -> None:
     for dim, table in K._rows.items():
         assert sorted(table) == list(K.cells(dim))
         assert all(type(row) is tuple and len(row) == 2 * dim for row in table.values())
+
+
+def parse_records(data, check: bool) -> PrecubicalSet:
+    """parse, one record at a time, with the repeated-key hook on every
+    read: the reference that parse's one reader is tested against."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        tree = json.loads(data, object_pairs_hook=_object)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"document is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"syntax error at position {exc.pos}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError("document nests arrays or objects too deeply") from exc
+    except FormatError:
+        raise
+    except ValueError as exc:
+        # int() refuses a literal longer than sys.get_int_max_str_digits()
+        raise FormatError(f"document holds an integer too long to read: {exc}") from exc
+
+    # each check builds its message only when it fails
+    if not isinstance(tree, dict):
+        raise FormatError("document must be a JSON object")
+    version = tree.get("format_version")
+    if version != FORMAT_VERSION:
+        raise FormatError(
+            f"unknown format version: {version!r} (expected {FORMAT_VERSION!r})"
+        )
+    for key in ("top_dim", "cells", "faces"):
+        if key not in tree:
+            raise FormatError(f"document is missing the {key!r} key")
+    if not isinstance(tree["cells"], dict):
+        raise FormatError("'cells' must be an object")
+    if not isinstance(tree["faces"], list):
+        raise FormatError("'faces' must be an array")
+
+    cells = {}
+    for dim_key, labels in tree["cells"].items():
+        try:
+            dim = int(dim_key)
+        except ValueError:
+            raise FormatError(f"cell dimension key is not an integer: {dim_key!r}")
+        if str(dim) != dim_key:
+            raise FormatError(
+                f"cell dimension key is not in canonical form: {dim_key!r} (expected {str(dim)!r})"
+            )
+        if not isinstance(labels, list):
+            raise FormatError(f"cells[{dim_key!r}] must be an array")
+        for label in labels:
+            if not isinstance(label, str):
+                raise FormatError(f"cell label is not a string: {label!r}")
+        cells[dim] = labels
+
+    records = tree["faces"]
+    for record in records:
+        if not isinstance(record, dict):
+            raise FormatError(f"face record must be an object: {record!r}")
+        if record.keys() != _FACE_FIELDS.keys():
+            raise FormatError(
+                f"face record must have exactly the keys dim, i, alpha, cell, value: {record!r}"
+            )
+        # json.loads yields exact int and str objects, so the type tests
+        # below reject bools and floats
+        for field in ("dim", "i", "alpha"):
+            if type(record[field]) is not int:
+                raise FormatError(f"face field {field!r} must be an integer: {record!r}")
+        for field in ("cell", "value"):
+            if type(record[field]) is not str:
+                raise FormatError(f"face field {field!r} must be a string: {record!r}")
+
+    # the records go straight into the face rows, through the constructor's
+    # structural checks; duplicate records are reported before any of those
+    try:
+        cells, rows = _tabulate(cells, (((r["dim"], r["i"], r["alpha"], r["cell"]), r["value"])
+                                        for r in records))
+    except ValueError as exc:
+        if len({(r["dim"], r["i"], r["alpha"], r["cell"]) for r in records}) != len(records):
+            message = "duplicate face records for the same (dim, i, alpha, cell)"
+            raise FormatError(message) from None
+        raise FormatError(f"malformed document: {exc}") from exc
+    K = PrecubicalSet._adopt(cells, rows, False)
+    top_dim = tree["top_dim"]
+    if not isinstance(top_dim, int) or isinstance(top_dim, bool):
+        raise FormatError(f"'top_dim' must be an integer: {top_dim!r}")
+    if top_dim != K.top_dim:
+        raise FormatError(
+            f"declared top_dim {top_dim} does not match cells (top dimension {K.top_dim})"
+        )
+    if check:
+        _check(K)
+    return K
+
+
+def outcome(read, data, check):
+    """What reading data gives: the complex and whether it is known valid,
+    or the message and violations of the FormatError."""
+    try:
+        K = read(data, check)
+    except FormatError as exc:
+        return str(exc), exc.violations
+    assert_one_cell_table(K)
+    return K, K._valid

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -26,7 +28,7 @@ from precubical import (
 )
 from precubical import document
 
-from conftest import glued_circle, reference_text
+from conftest import glued_circle, outcome, parse_records, reference_text
 
 
 class TestRoundTrip:
@@ -43,6 +45,17 @@ class TestRoundTrip:
     def test_bytes_input_accepted(self):
         K = torus(2)
         assert parse(serialize(K).encode("utf-8")) == K
+
+    def test_bytearray_input_read_like_bytes(self):
+        K = standard_cube(3)
+        text = serialize(K)
+        assert parse(bytearray(text.encode("utf-8"))) == K
+        tree = json.loads(text)
+        del tree["faces"][0]
+        missing = json.dumps(tree)
+        with pytest.raises(FormatError) as err:
+            parse(bytearray(missing.encode("utf-8")))
+        assert outcome(parse, missing, True) == (str(err.value), err.value.violations)
 
     def test_reports_are_json(self, corpus_complex):
         _, K = corpus_complex
@@ -412,7 +425,7 @@ def _pushout_with_colons() -> PrecubicalSet:
 
 @pytest.fixture
 def hook_calls(monkeypatch):
-    """Counts the calls of the repeated-key hook of the per-record pass."""
+    """Counts the calls of the repeated-key hook of parse's hooked read."""
     calls = []
     hook = document._object
 
@@ -425,6 +438,11 @@ def hook_calls(monkeypatch):
 
 
 class TestColumnarPass:
+    """parse's one reader: which documents the colon count lets it read
+    without the repeated-key hook, and that each choice it makes from the
+    input (the hook, the whole-column record checks, face rows from the
+    value column) leaves the outcome of every document as it was."""
+
     @pytest.mark.parametrize("build", [lambda: standard_cube(5), lambda: torus(3),
                                        _pushout_with_colons],
                              ids=["cube5", "torus3", "pushout"])
@@ -442,6 +460,61 @@ class TestColumnarPass:
             parse(document_text)
         assert str(err.value) == message
         assert hook_calls
+
+    def test_missing_face_document_skips_the_hook(self, hook_calls):
+        tree = json.loads(serialize(standard_cube(3)))
+        del tree["faces"][7]
+        with pytest.raises(FormatError) as err:
+            parse(json.dumps(tree))
+        assert [v.kind for v in err.value.violations] == ["missing-face"]
+        assert hook_calls == []
+
+    def test_shuffled_records_skip_the_hook(self, corpus_complex, hook_calls):
+        _, K = corpus_complex
+        tree = json.loads(serialize(K))
+        random.Random(len(tree["faces"])).shuffle(tree["faces"])
+        assert parse(json.dumps(tree)) == K
+        assert hook_calls == []
+
+    @pytest.mark.parametrize("name", [m[0] for m in MALFORMED
+                                      if not isinstance(m[1], (str, bytes)) or m[1][:1] == "{"])
+    def test_unknown_key_and_colon_escape_keep_the_outcome(self, name):
+        mutate = next(m[1] for m in MALFORMED if m[0] == name)
+        if isinstance(mutate, str):
+            text = mutate
+        else:
+            tree = copy.deepcopy(SQUARE_TREE)
+            mutate(tree)
+            text = json.dumps(tree)
+        # the key is read only by the hooked read; its value holds a colon
+        extra = text.replace("{", '{"note": {"a": ":"}, ', 1)
+        assert outcome(parse, extra, True) == outcome(parse, text, True)
+        colon = text.replace('"00"', '"0:0"')
+        escaped = text.replace('"00"', '"0\\u003a0"')
+        assert escaped != colon
+        assert outcome(parse, escaped, True) == outcome(parse, colon, True)
+
+    def test_empty_negative_dimension_is_not_read_as_the_face_table(self):
+        # it adds no record and no row, so only its key can reject it
+        tree = copy.deepcopy(SQUARE_TREE)
+        tree["cells"]["-1"] = []
+        with pytest.raises(FormatError) as err:
+            parse(json.dumps(tree))
+        assert str(err.value) == "malformed document: cell dimension must be a non-negative int: -1"
+
+    def test_empty_dimension_adds_nothing_to_the_face_table(self):
+        # the table of a huge dimension without cells used to be built in
+        # full: 49 MB for this 88-byte document
+        text = ('{"cells": {"0": ["a"], "1000000": []}, "faces": [], '
+                '"format_version": "1", "top_dim": 0}')
+        tracemalloc.start()
+        try:
+            K = parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.cell_counts() == (1,)
+        assert peak < 1_000_000
 
     def test_colon_escape_goes_through_the_hook(self, hook_calls):
         K = _pushout_with_colons()
@@ -468,10 +541,10 @@ class TestColumnarPass:
         with pytest.raises(FormatError) as fast:
             parse(text)
         with pytest.raises(FormatError) as slow:
-            document._parse_records(text, True)
+            parse_records(text, True)
         assert str(fast.value) == str(slow.value)
         assert fast.value.violations == slow.value.violations
-        assert parse(text, check=False) == document._parse_records(text, False)
+        assert parse(text, check=False) == parse_records(text, False)
 
 
 class TestMalformedMessages:

@@ -10,9 +10,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from precubical import FormatError, document, parse, serialize, standard_cube
+from precubical import FormatError, parse, serialize, standard_cube
 
-from conftest import assert_one_cell_table, glued_path, random_glued_complex, reference_text
+from conftest import (assert_one_cell_table, glued_path, outcome, parse_records,
+                      random_glued_complex, reference_text)
 
 
 @settings(max_examples=60, deadline=None)
@@ -23,7 +24,7 @@ def test_random_gluings_round_trip(seed):
     assert text == reference_text(K)
     back = parse(text)
     assert back == K
-    slow = document._parse_records(text, True)
+    slow = parse_records(text, True)
     assert back == slow
     assert serialize(back) == text
     for X in (K, back, slow):
@@ -140,21 +141,10 @@ def mutated_documents(draw):
     return text
 
 
-def outcome(read, data, check):
-    """What reading data gives: the complex and whether it is known valid,
-    or the message and violations of the FormatError."""
-    try:
-        K = read(data, check)
-    except FormatError as exc:
-        return str(exc), exc.violations
-    assert_one_cell_table(K)
-    return K, K._valid
-
-
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(mutated_documents(), st.booleans())
 def test_both_parse_passes_agree(text, check):
-    expected = outcome(document._parse_records, text, check)
+    expected = outcome(parse_records, text, check)
     assert outcome(parse, text, check) == expected
     assert outcome(parse, text.encode("utf-8"), check) == expected
 

@@ -28,6 +28,7 @@ from precubical import (
     globular_decomposition,
     homology,
     interval,
+    isomorphic,
     parse,
     path_equal,
     pushout,
@@ -179,11 +180,25 @@ def test_skeleton_of_an_invalid_complex_is_gated(make, message):
     assert homology(skeleton(make(), 2)) == homology(boundary_cube(3))
 
 
-def test_tensor_label_collision_is_rejected():
-    left = PrecubicalSet({0: ["a", "a|b"]})
+def test_tensor_escapes_labels_only_when_plain_names_collide():
+    # a|b (x) c and a (x) b|c would both be named a|b|c
+    left = PrecubicalSet({0: ["a", "a|b"], 1: ["e"]}, {(1, 1, 0, "e"): "a", (1, 1, 1, "e"): "a|b"})
     right = PrecubicalSet({0: ["c", "b|c"]})
-    with pytest.raises(ValueError, match=re.escape("duplicate labels in dimension 0: ['a|b|c']")):
-        tensor(left, right)
+    K = tensor(left, right)
+    assert validate(K) == []
+    assert K.cells(0) == ("a\\|b|b\\|c", "a\\|b|c", "a|b\\|c", "a|c")
+    assert K.face_label(1, "e|b\\|c", 1, 1) == "a\\|b|b\\|c"
+    plain = tensor(PrecubicalSet({0: ["a", "ab"], 1: ["e"]}, {(1, 1, 0, "e"): "a", (1, 1, 1, "e"): "ab"}),
+                   PrecubicalSet({0: ["c", "bc"]}))
+    assert isomorphic(K, plain)
+    # without a collision the plain names stay, "|" or "\\" in them or not
+    assert tensor(left, PrecubicalSet({0: ["c\\"]})).cells(0) == ("a|b|c\\", "a|c\\")
+    assert torus(3).cells(0) == ("v|v|v",)
+
+
+def test_adopt_rejects_a_repeated_label():
+    with pytest.raises(ValueError, match=re.escape("duplicate labels in dimension 0: ['a']")):
+        PrecubicalSet._adopt({0: ["a", "b", "a"]}, {0: {"a": (), "b": ()}}, True)
 
 
 # An edge e with d[1,0] = a and no d[1,1] entry, glued to a point over the
