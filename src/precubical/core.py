@@ -35,6 +35,7 @@ path, _tabulate, is shared with parse.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from operator import attrgetter
@@ -89,6 +90,7 @@ class _Value:
             _set(self, name, value)
 
 
+@functools.total_ordering
 class CellId(_Value):
     """A cell, identified by its dimension and a label unique in that dimension.
 
@@ -104,21 +106,6 @@ class CellId(_Value):
     def __lt__(self, other):
         if other.__class__ is CellId:
             return (self.dim, self.label) < (other.dim, other.label)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is CellId:
-            return (self.dim, self.label) <= (other.dim, other.label)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is CellId:
-            return (self.dim, self.label) > (other.dim, other.label)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is CellId:
-            return (self.dim, self.label) >= (other.dim, other.label)
         return NotImplemented
 
 

@@ -113,11 +113,12 @@ def parse(data, check: bool = True) -> PrecubicalSet:
     FormatError.
     """
     try:
-        if isinstance(data, bytes):
+        if isinstance(data, (bytes, bytearray)):
             data = data.decode("utf-8")
-        # json.loads reads a bytearray in whatever UTF encoding it detects,
-        # so only a str is counted; any other input takes the hooked read
-        shape = _unhooked_shape(data) if isinstance(data, str) else None
+        elif not isinstance(data, str):
+            raise TypeError(f"the JSON object must be str, bytes or bytearray, "
+                            f"not {type(data).__name__}")
+        shape = _unhooked_shape(data)
         if shape is None:
             shape = _shape(json.loads(data, object_pairs_hook=_object))
     except UnicodeDecodeError as exc:

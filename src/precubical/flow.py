@@ -22,8 +22,11 @@ identifications with one union-find per level gives exactly the classes
 of length L: a move inside the prefix keeps the pair, a move on the last
 two edges is one of the identifications, and the members of a pair are
 all equivalent because those of C are.  Each class comes with its size
-(the sum over its pairs) and its least member; the members themselves are
-expanded from the level tables only when asked for.
+(the sum over its pairs); a pass toward a goal state, the one kind whose
+classes are returned, also keeps each class's least member, and the
+members themselves are expanded from the level tables only when asked
+for.  The state order comes from the one depth-first search that looks
+for a directed cycle.
 
 States and morphisms are referred to by cell label throughout: a state is
 a 0-cell label and a path step is a 1-cell label.  The generating
@@ -245,7 +248,8 @@ class _Level:
     Pair i is (class prefix[i] one level down, edge number edge[i]) and
     belongs to class cls[i]; index maps prefix * (number of edges) + edge
     back to the pair, and is kept only when moves need lookups.  end, size and rep describe each
-    class: its end state, its number of members and its least member.
+    class: its end state, its number of members and its least member (rep
+    is None in a pass without a goal).
     """
 
     __slots__ = ("prefix", "edge", "cls", "index", "end", "size", "rep", "_groups")
@@ -268,23 +272,25 @@ class _Level:
 
 
 class _ClassPass:
-    """The classes of edge paths out of the seed states, one _Level per
-    length 0..max_len in levels; the classes it returns share it.
+    """The classes of edge paths out of the seed states in K, one _Level
+    per length 0..max_len in levels; the classes it returns share it.
 
-    Level 0 holds one empty class per seed.  reach[e], when given, is the
-    distance from edge e's target to the goal; a pair whose last edge
-    cannot reach it within the remaining length is dropped, which is sound
-    because both sides of a move share their ends.  Pairs are scanned in
-    order of (prefix class, edge label), so classes are numbered by their
-    least member within each seed, and no set or dict order reaches them.
+    Level 0 holds one empty class per seed.  Given a goal state, a pair
+    whose last edge cannot reach the goal within the remaining length is
+    dropped, which is sound because both sides of a move share their ends,
+    and each level keeps its classes' least members in rep; without a goal
+    rep is None.  Pairs are scanned in order of (prefix class, edge label),
+    so classes are numbered by their least member within each seed, and no
+    set or dict order reaches them.
     """
 
-    def __init__(self, edges: _Edges, moves: dict, seeds, max_len: int, reach=None):
-        self.edges = edges
+    def __init__(self, K: PrecubicalSet, seeds, max_len: int, goal=None):
+        self.edges = edges = _edge_table(K)
+        moves = _square_moves(K, edges)
+        reach = None if goal is None else _distance_to(edges, goal, max_len)
         seeds = list(seeds)
-        self.levels = [
-            _Level([], [], range(0), None, seeds, [1] * len(seeds), [()] * len(seeds))
-        ]
+        rep = None if goal is None else [()] * len(seeds)
+        self.levels = [_Level([], [], range(0), None, seeds, [1] * len(seeds), rep)]
         for length in range(1, max_len + 1):
             if not self.levels[-1].end:
                 break  # no class left to extend: every longer level is empty
@@ -306,15 +312,16 @@ class _ClassPass:
                  if moves else None)
         uf = self._identify(moves, index) if moves and len(self.levels) >= 2 else None
 
+        keep = reach is not None  # only a pass toward a goal returns classes
         if uf is None:
             cls = range(len(prefix))
             end = [tgt[e] for e in edge]
             size = [prev.size[c] for c in prefix]
-            rep = [prev.rep[c] + (labels[e],) for c, e in zip(prefix, edge)]
+            rep = [prev.rep[c] + (labels[e],) for c, e in zip(prefix, edge)] if keep else None
         else:
             # a class is numbered when its first, hence least, pair is met
             cls, first = [], {}
-            end, size, rep = [], [], []
+            end, size, rep = [], [], ([] if keep else None)
             parent = uf.parent
             for i, (c, e) in enumerate(zip(prefix, edge)):
                 k = first.setdefault(uf.find(i) if i in parent else i, len(first))
@@ -322,7 +329,8 @@ class _ClassPass:
                 if k == len(end):
                     end.append(tgt[e])
                     size.append(prev.size[c])
-                    rep.append(prev.rep[c] + (labels[e],))
+                    if keep:
+                        rep.append(prev.rep[c] + (labels[e],))
                 else:
                     size[k] += prev.size[c]
         self.levels.append(_Level(prefix, edge, cls, index, end, size, rep))
@@ -387,18 +395,15 @@ def path_equal(K: PrecubicalSet, p, q) -> bool:
     pass out of p's source.  Paths of different length, source or target
     are never equal; malformed paths raise.
     """
-    edges = _edge_table(K)
     p = edge_path(K, p)
     q = edge_path(K, q)
     if (p.source, p.target, len(p)) != (q.source, q.target, len(q)):
         return False
     if p.edges == q.edges:
         return True
-    moves = _square_moves(K, edges)
-    if not moves:
-        return False
-    n = len(p)
-    run = _ClassPass(edges, moves, [p.source], n, _distance_to(edges, p.target, n))
+    if not K.cells(2):
+        return False  # no square, no move
+    run = _ClassPass(K, [p.source], len(p), p.target)
     return run.class_of(p.edges) == run.class_of(q.edges)
 
 
@@ -414,9 +419,7 @@ def enumerate_path_classes(
             raise ValueError(f"unknown state: {state!r}")
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    edges = _edge_table(K)
-    run = _ClassPass(edges, _square_moves(K, edges), [a], max_len,
-                     _distance_to(edges, b, max_len))
+    run = _ClassPass(K, [a], max_len, b)
     return tuple(
         PathClass(level.rep[k], a, b, length, level.size[k], run)
         for length, level in enumerate(run.levels)
@@ -436,9 +439,7 @@ def count_flow_morphisms(K: PrecubicalSet, max_len: int) -> int:
         raise ValueError("max_len must be nonnegative")
     if max_len == 0:
         return 0
-    edges = _edge_table(K)
-    run = _ClassPass(edges, _square_moves(K, edges), K.cells(0), max_len)
-    return sum(len(level.end) for level in run.levels[1:])
+    return sum(len(level.end) for level in _ClassPass(K, K.cells(0), max_len).levels[1:])
 
 
 def state_order(K: PrecubicalSet):
@@ -453,49 +454,40 @@ def state_order(K: PrecubicalSet):
     labels, tgt, out = edges.labels, edges.tgt, edges.out
 
     # iterative DFS; path_edges[k] is the edge that entered stack frame k+1,
-    # so a back edge into a gray state closes a cycle along the stack
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(states, WHITE)
+    # so an edge into a state still on the stack closes a cycle along it.
+    # A state leaves the stack after every state it reaches has left, so
+    # its strict upper set is then the union, over its out-edges, of the
+    # target and the target's upper set.  above[s] is None while s is on
+    # the stack.
+    above: dict[str, set | None] = {}
     for root in states:
-        if color[root] != WHITE:
+        if root in above:
             continue
-        color[root] = GRAY
+        above[root] = None
         stack = [(root, iter(out[root]))]
         path_edges: list[str] = []
         while stack:
             at, it = stack[-1]
             e = next(it, None)
             if e is None:
-                color[at] = BLACK
+                targets = [tgt[f] for f in out[at]]
+                above[at] = set(targets).union(*(above[t] for t in targets))
                 stack.pop()
                 if path_edges:
                     path_edges.pop()
                 continue
             t = tgt[e]
-            if color[t] == GRAY:
+            if t not in above:
+                above[t] = None
+                path_edges.append(labels[e])
+                stack.append((t, iter(out[t])))
+            elif above[t] is None:
                 j = next(k for k, (s, _) in enumerate(stack) if s == t)
                 cycle = tuple(path_edges[j:]) + (labels[e],)
                 loop_states = tuple(s for s, _ in stack[j:])
                 return LoopReport(cycle, loop_states)
-            if color[t] == WHITE:
-                color[t] = GRAY
-                path_edges.append(labels[e])
-                stack.append((t, iter(out[t])))
-
-    # acyclic: strict order = transitive closure of the edge relation
-    pairs = set()
-    for a in states:
-        frontier = [a]
-        reached = set()
-        while frontier:
-            x = frontier.pop()
-            for e in out[x]:
-                t = tgt[e]
-                if t not in reached:
-                    reached.add(t)
-                    frontier.append(t)
-        pairs.update((a, b) for b in reached)
-    return StatePoset(tuple(states), frozenset(pairs))
+    pairs = frozenset((a, b) for a in states for b in above[a])
+    return StatePoset(tuple(states), pairs)
 
 
 def map_path(f, p: EdgePath) -> EdgePath:

@@ -153,6 +153,15 @@ class TestValidate:
             PrecubicalSet(cells, faces)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("cells, faces, message", [
+        ({0: [1]}, {}, "cell label must be a string: 1"),
+        ({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): 5}, "face value must be a label string: 5"),
+    ], ids=["label", "value"])
+    def test_labels_and_face_values_are_strings(self, cells, faces, message):
+        with pytest.raises(ValueError) as err:
+            PrecubicalSet(cells, faces)
+        assert str(err.value) == message
+
 
 def brute_violations(K):
     """Every defect validate should report, as (kind, dim, cell, i, alpha,
@@ -434,6 +443,19 @@ class TestPcsMapDefects:
             "target cell (1, '*'): face d[1,1] points at undeclared cell 'q'"
         ]
 
+    def test_missing_and_undeclared_images_are_defects(self):
+        edge = standard_cube(1)
+        partial = PcsMap(edge, edge, {(0, "0"): "0", (1, "*"): "*"})
+        assert partial.defects() == [
+            "cell (0, '1') has no image",
+            "faces do not commute at (1, '*'), d[1,1]: None != '1'",
+        ]
+        astray = PcsMap(edge, edge, {(0, "0"): "0", (0, "1"): "z", (1, "*"): "*"})
+        assert astray.defects() == [
+            "image of (0, '1') is undeclared (0, 'z')",
+            "faces do not commute at (1, '*'), d[1,1]: 'z' != '1'",
+        ]
+
     def test_valid_maps_have_no_defects(self, corpus_complex):
         _, K = corpus_complex
         assert PcsMap.identity(K).defects() == []
@@ -683,6 +705,15 @@ class TestIsomorphism:
         K = self.two_edges(("p", "q"), ("q", "r"))
         broken = PrecubicalSet({0: ["p", "q", "r"], 1: ["a", "b"]},
                                {**K.face_map, (1, 1, 0, "a"): ends[0], (1, 1, 1, "a"): ends[1]})
+        assert find_isomorphism(broken, K) is None
+        assert find_isomorphism(K, broken) is None
+
+    def test_missing_face_entry_gives_none(self):
+        # the same cells, but one edge of broken lacks its d[1,1]
+        K = self.two_edges(("p", "q"), ("q", "r"))
+        faces = dict(K.face_map)
+        del faces[(1, 1, 1, "a")]
+        broken = PrecubicalSet({0: ["p", "q", "r"], 1: ["a", "b"]}, faces)
         assert find_isomorphism(broken, K) is None
         assert find_isomorphism(K, broken) is None
 

@@ -57,6 +57,22 @@ class TestRoundTrip:
             parse(bytearray(missing.encode("utf-8")))
         assert outcome(parse, missing, True) == (str(err.value), err.value.violations)
 
+    @pytest.mark.parametrize("data", [serialize(standard_cube(3)).encode("utf-16"), b"\xff\xfe"],
+                             ids=["utf-16", "bom-only"])
+    def test_bytearray_that_is_not_utf8_rejected_like_bytes(self, data):
+        with pytest.raises(FormatError) as err:
+            parse(bytearray(data))
+        assert str(err.value).startswith("document is not UTF-8: ")
+        assert outcome(parse, bytearray(data), True) == outcome(parse, data, True)
+
+    @pytest.mark.parametrize("data", [123, None, memoryview(b"{}"), ["{}"]],
+                             ids=["int", "none", "memoryview", "list"])
+    def test_other_input_types_raise_type_error(self, data):
+        message = f"the JSON object must be str, bytes or bytearray, not {type(data).__name__}"
+        with pytest.raises(TypeError) as err:
+            parse(data)
+        assert str(err.value) == message
+
     def test_reports_are_json(self, corpus_complex):
         _, K = corpus_complex
         tree = json.loads(serialize(K))
@@ -353,6 +369,9 @@ MALFORMED = [
     ("record-short", _drop(["faces", 0, "value"]),
      "face record must have exactly the keys dim, i, alpha, cell, value: "
      "{'alpha': 0, 'cell': '*0', 'dim': 1, 'i': 1}"),
+    ("record-misnamed", lambda t: t["faces"][0].update(valu=t["faces"][0].pop("value")),
+     "face record must have exactly the keys dim, i, alpha, cell, value: "
+     "{'alpha': 0, 'cell': '*0', 'dim': 1, 'i': 1, 'valu': '00'}"),
     ("record-long", _set(["faces", 0, "extra"], 1),
      "face record must have exactly the keys dim, i, alpha, cell, value: "
      "{'alpha': 0, 'cell': '*0', 'dim': 1, 'i': 1, 'value': '00', 'extra': 1}"),

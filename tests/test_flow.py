@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -221,6 +222,8 @@ class TestPathEqual:
             path_equal(K, ("*0", "0*"), ("*0", "0*"))
         with pytest.raises(ValueError):
             path_equal(K, (), ())
+        with pytest.raises(ValueError, match=r"^not a 1-cell: 'nope'$"):
+            edge_path(K, ["nope"])
 
     def test_congruence_under_concatenation(self):
         K = standard_cube(3)
@@ -289,6 +292,21 @@ class TestCountFlowMorphisms:
     def test_circle_counts_loops_up_to_bound(self):
         assert count_flow_morphisms(circle(), 4) == 4
 
+    def test_wedge_count_keeps_no_representatives(self):
+        # 4 + 16 + ... + 4**8 singleton classes; a least member kept for
+        # each of them took the tracemalloc peak above 12 MB
+        loops = ["a", "b", "c", "d"]
+        faces = {(1, 1, alpha, e): "v" for e in loops for alpha in (0, 1)}
+        W = PrecubicalSet({0: ["v"], 1: loops}, faces)
+        tracemalloc.start()
+        try:
+            count = count_flow_morphisms(W, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 87_380
+        assert peak < 6_000_000
+
 
 class TestStaircaseInvariance:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -342,6 +360,13 @@ class TestStateOrder:
         assert isinstance(report, LoopReport)
         assert report.cycle == ("loop",)
         assert report.states == ("v",)
+
+    def test_less_reads_the_pairs(self):
+        poset = state_order(standard_cube(2))
+        assert poset.less("00", "11") and poset.less("00", "01")
+        assert not poset.less("11", "00")
+        assert not poset.less("01", "10")
+        assert not poset.less("00", "00")
 
     def test_vertices_only_give_empty_order(self):
         poset = state_order(skeleton(standard_cube(2), 0))

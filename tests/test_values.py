@@ -12,6 +12,7 @@ equality and repr, and builds its members on first read.
 from __future__ import annotations
 
 import copy
+import operator
 import pickle
 
 import pytest
@@ -227,6 +228,12 @@ class TestCellIdOrder:
     def test_not_ordered_against_tuples(self):
         with pytest.raises(TypeError):
             CellId(0, "a") < (0, "b")
+
+    @pytest.mark.parametrize("compare", [operator.le, operator.gt, operator.ge],
+                             ids=["le", "gt", "ge"])
+    def test_not_ordered_against_numbers(self, compare):
+        with pytest.raises(TypeError):
+            compare(CellId(0, "a"), 3)
 
 
 class TestPathClassValue:
