@@ -4,7 +4,8 @@ Every subcommand reads a document from a path (or - for standard input),
 writes one canonical JSON report to standard output (or to -o PATH) and
 exits 0.  Exit 1 means the input document failed to parse or validate;
 exit 2 means the invocation itself was wrong (bad flags, unknown family,
-unknown state label).  Diagnostics go to standard error.
+unknown state label, a generated complex of more than MAX_GENERATED_CELLS
+cells).  Diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,21 @@ from .document import FormatError, generate, parse, serialize
 from .flow import LoopReport, enumerate_path_classes, realize_states, state_order
 from .globular import globular_decomposition
 from .homology import euler_characteristic, homology
+
+
+# the most cells `generate` builds: cube 10 (59,049 cells, a 47 MB
+# document) is the largest cube under it.  The library builders have no
+# such bound.
+MAX_GENERATED_CELLS = 100_000
+
+# the closed-form cell count of each family that takes a size; exponents
+# are clamped at 64, past which every count is over the bound anyway
+_CELL_COUNTS = {
+    "cube": lambda n: 3 ** min(n, 64),
+    "boundary": lambda n: 3 ** min(n, 64) - 1,
+    "torus": lambda d: 2 ** min(d, 64),
+    "interval": lambda k: 2 * k + 1,
+}
 
 
 def _read(path: str) -> bytes:
@@ -43,6 +59,15 @@ def _info(K: PrecubicalSet, args) -> dict:
         "cells": counts,
         "total": sum(counts.values()),
     }
+
+
+def _generate(K, args) -> str:
+    count = _CELL_COUNTS.get(args.family)
+    # checked before anything is built
+    if count is not None and args.param is not None and count(args.param) > MAX_GENERATED_CELLS:
+        raise ValueError(f"{args.family} {args.param} would have more than "
+                         f"{MAX_GENERATED_CELLS} cells, the most generate builds")
+    return serialize(generate(args.family, args.param))
 
 
 def _paths(K: PrecubicalSet, args) -> dict:
@@ -116,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("order", _order, "induced state order, or a cycle witness")
     add("globular", lambda K, args: globular_decomposition(K).as_dict(),
         "globular cell ledger")
-    p = add("generate", lambda K, args: serialize(generate(args.family, args.param)),
+    p = add("generate", _generate,
             "emit a named complex as a document", with_path=False)
     p.add_argument("family", help="cube, boundary, circle, torus, cylinder, interval")
     p.add_argument("param", nargs="?", type=int, default=None,

@@ -31,6 +31,14 @@ hand-built or parsed complex has no entry.  A vertex's row is ().  Other
 modules read the rows through _face_rows.  Every complex is made by
 PrecubicalSet._fill, which the constructor and _adopt end in; the checked
 path, _tabulate, is shared with parse.
+
+The builders and validate work a whole face row at a time.  standard_cube
+grows the n-cube from the rows of the (n-1)-cube, and pushout renames each
+row through one label -> name table per dimension and side, so a row holds
+the very label strings of the cells below.  validate opens each cell with
+one test, the two routes of every relation instance read across its faces'
+rows, and reports instance by instance only for a cell with a face that is
+undeclared or has no faces, or whose two routes differ.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 LETTERS = "01*"
 STAR = "*"
@@ -240,7 +248,8 @@ class PrecubicalSet:
         """A complex owning the given cells dict and face rows, without the
         per-entry checks of _tabulate; valid says whether the caller
         guarantees the precubical axioms.  rows has a row for each cell,
-        () for a vertex."""
+        () for a vertex; cells maps each dimension to its labels, and the
+        row tables themselves will do."""
         K = cls.__new__(cls)
         K._fill(cells, rows, valid)
         return K
@@ -397,16 +406,34 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     are already reported.  Every call runs the full check, also on a
     complex that is valid by construction.  K remembers the verdict, so
     _require_valid checks it only once.
+
+    Each cell is opened with one test: its faces' rows, laid end to end,
+    read the same along the two routes of _routes.  Only a cell that has
+    an undeclared face, or a face without faces, or two routes that
+    differ, is walked instance by instance.
     """
     faults: list[Violation] = []
     relations: list[Violation] = []
+    # the cells of the dimension below that have no declared face of their
+    # own: no relation through such a face can be reported
+    poor: set[str] = set()
+    flatten = itertools.chain.from_iterable
     for dim in range(1, K.top_dim + 1):
         low, mid, table = _face_rows(K, dim - 2), _face_rows(K, dim - 1), _face_rows(K, dim)
         declared, every = mid.__contains__, range(1, dim + 1)
+        # the rows of the faces a relation can pass through: those of the
+        # cells below with a declared face of their own
+        rich = {label: row for label, row in mid.items() if label not in poor} if poor else mid
+        fetch = rich.__getitem__
+        poor = set()
+        # the routes are built only where the rows outweigh them, so a few
+        # tall cells cost memory in proportion to their rows
+        lhs, rhs = _routes(dim) if 1 < dim <= len(table) + 1 else (None, None)
         for label in K.cells(dim):
             row = table[label]
-            coords = every
-            if not all(map(declared, row)):
+            try:
+                faces = tuple(flatten(map(fetch, row)))
+            except KeyError:
                 for slot, value in enumerate(row):
                     i, alpha = slot // 2 + 1, slot % 2
                     if value is None:
@@ -414,11 +441,16 @@ def validate(K: PrecubicalSet) -> list[Violation]:
                     elif value not in mid:
                         faults.append(Violation("dangling-face", dim, label, i, alpha,
                                                 detail=f"points at undeclared cell {value!r}"))
-                # a relation instance is checked only when its four
-                # ingredient faces are declared cells, so only coordinates
-                # with a declared face are paired: a cell whose faces are
-                # missing costs time linear in its dimension
-                coords = [k for k in every if row[2 * k - 2] in mid or row[2 * k - 1] in mid]
+                if not any(map(declared, row)):
+                    poor.add(label)
+            else:
+                if dim == 1 or lhs is not None and lhs(faces) == rhs(faces):
+                    continue
+            # a relation instance is reported only when its two ingredient
+            # faces have declared faces, so only coordinates with such a
+            # face are paired: a cell whose faces are missing, or have no
+            # faces, costs time linear in its dimension
+            coords = [k for k in every if row[2 * k - 2] in rich or row[2 * k - 1] in rich]
             for j in coords:
                 for i in coords:
                     if i == j:
@@ -444,6 +476,21 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     return report
 
 
+@functools.lru_cache(maxsize=16)
+def _routes(n: int) -> tuple[itemgetter, itemgetter]:
+    """The two sides of the cubical relations of an n-cell, n >= 2, as
+    getters over the 2n face rows of its faces laid end to end (2n - 2
+    entries each): for every instance (i < j, alpha, beta) the first picks
+    d[i, alpha] d[j, beta] and the second, at the same place,
+    d[j-1, beta] d[i, alpha].  validate asks for them only for a
+    dimension whose rows are larger, and the last few asked for are kept."""
+    width = 2 * n - 2
+    instances = [(2 * i - 2 + alpha, 2 * j - 2 + beta) for j in range(2, n + 1)
+                 for i in range(1, j) for alpha in (0, 1) for beta in (0, 1)]
+    return (itemgetter(*[jb * width + ia for ia, jb in instances]),
+            itemgetter(*[ia * width + jb - 2 for ia, jb in instances]))
+
+
 def _require_valid(K: PrecubicalSet) -> None:
     """Raise ValueError naming the first violation of K, unless K has
     already passed validate or is valid by construction."""
@@ -466,15 +513,28 @@ def standard_cube(n: int) -> PrecubicalSet:
     """The standard n-cube: k-cells are the length-n words with k stars."""
     if n < 0:
         raise ValueError("dimension must be non-negative")
-    cells: dict[int, list[str]] = {k: [] for k in range(n + 1)}
-    rows: dict[int, dict[str, tuple]] = {k: {} for k in range(n + 1)}
-    for word in cube_words(n):
-        stars = [pos for pos, ch in enumerate(word) if ch == STAR]
-        cells[len(stars)].append(word)
-        # the (i, alpha) face replaces the i-th star, left to right, with alpha
-        rows[len(stars)][word] = tuple([word[:pos] + alpha + word[pos + 1:]
-                                        for pos in stars for alpha in "01"])
-    return PrecubicalSet._adopt(cells, rows, True)
+    # grown from the (n-1)-cube, a face row at a time: the (i, alpha) face
+    # replaces the i-th star, left to right, with alpha, so 0w and 1w put
+    # their letter before every face of w, and *w has the faces 0w and 1w
+    # and then * before every face of w
+    rows: dict[int, dict[str, tuple]] = {0: {"": ()}}
+    for _ in range(n):
+        # each word with each letter put in front, made once and shared by
+        # every row that names it; vertices have no faces to name
+        names = {k: {c: dict(zip(table, map(c.__add__, table))) for c in LETTERS}
+                 for k, table in rows.items()}
+        names[-1] = dict.fromkeys(LETTERS, {})
+        grown = {k: {} for k in range(len(rows) + 1)}
+        for k, table in rows.items():
+            here, below = names[k], names[k - 1]
+            for c in "01":
+                name, face = here[c], below[c].__getitem__
+                grown[k].update({name[w]: tuple(map(face, row)) for w, row in table.items()})
+            name, zero, one, face = here[STAR], here["0"], here["1"], below[STAR].__getitem__
+            grown[k + 1].update({name[w]: (zero[w], one[w], *map(face, row))
+                                 for w, row in table.items()})
+        rows = grown
+    return PrecubicalSet._adopt(rows, rows, True)
 
 
 def boundary_cube(n: int) -> PrecubicalSet:
@@ -660,31 +720,27 @@ def pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
     for node in uf.parent:
         tags.setdefault(uf.find(node), []).append(f"{node[1]}:{node[2]}")
     least = {root: min(group) for root, group in tags.items()}
-    renamed = {node: least[uf.find(node)] for node in uf.parent}
 
-    cells: dict[int, list[str]] = {}
+    # one label -> name table per dimension and side: the tagged names, with
+    # the name of its class laid over each glued cell
+    names: dict[tuple, dict[str, str]] = {}
+    for side, X in (("K", K), ("M", M)):
+        for dim in range(X.top_dim + 1):
+            labels = X.cells(dim)
+            names[dim, side] = dict(zip(labels, map(f"{side}:".__add__, labels)))
+    for node in uf.parent:
+        names[node[:2]][node[2]] = least[uf.find(node)]
+
     rows: dict[int, dict[str, tuple]] = {}
     for dim in range(max(K.top_dim, M.top_dim) + 1):
-        # labels are unique only within a dimension, so are class names
-        named = set()
-        out = cells[dim] = []
-        for side, complex_ in (("K", K), ("M", M)):
-            tag, table = side + ":", _face_rows(complex_, dim)
-            for label in complex_.cells(dim):
-                name = renamed.get((dim, side, label))
-                if name is None:
-                    name = tag + label
-                elif name in named:
-                    continue
-                else:
-                    named.add(name)
-                out.append(name)
-                # faces are class-independent because f and g commute
-                # with faces, so the first member met names them
-                rows.setdefault(dim, {})[name] = tuple([
-                    renamed.get((dim - 1, side, value)) or tag + value
-                    for value in table[label]])
-    return PrecubicalSet._adopt(cells, rows, True)
+        table = rows[dim] = {}
+        for side, X in (("K", K), ("M", M)):
+            name, below = names.get((dim, side), {}), names.get((dim - 1, side), {})
+            # faces are class-independent because f and g commute with
+            # faces, so every member of a glued class gives it the same row
+            table.update({name[label]: tuple(map(below.__getitem__, row))
+                          for label, row in _face_rows(X, dim).items()})
+    return PrecubicalSet._adopt(rows, rows, True)
 
 
 def empty_map(K: PrecubicalSet) -> PcsMap:

@@ -26,7 +26,8 @@ from precubical import (
     standard_cube,
     torus,
 )
-from precubical.core import _tabulate
+from precubical.core import (STAR, Violation, _UnionFind, _face_rows, _require_valid, _tabulate,
+                             cube_words)
 from precubical.document import FORMAT_VERSION, FormatError, _FACE_FIELDS, _check, _object
 
 
@@ -377,3 +378,95 @@ def outcome(read, data, check):
         return str(exc), exc.violations
     assert_one_cell_table(K)
     return K, K._valid
+
+
+def reference_standard_cube(n: int) -> PrecubicalSet:
+    """standard_cube one word at a time: each word's faces replace its stars,
+    left to right, by 0 and by 1.  The reference for the cube grown a face
+    row at a time."""
+    cells = {k: [] for k in range(n + 1)}
+    rows = {k: {} for k in range(n + 1)}
+    for word in cube_words(n):
+        stars = [pos for pos, ch in enumerate(word) if ch == STAR]
+        cells[len(stars)].append(word)
+        rows[len(stars)][word] = tuple([word[:pos] + alpha + word[pos + 1:]
+                                        for pos in stars for alpha in "01"])
+    return PrecubicalSet._adopt(cells, rows, True)
+
+
+def reference_pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
+    """pushout naming one face at a time, through a (dim, side, label) ->
+    class-name dict: the reference for the renaming by table."""
+    if f.source != g.source:
+        raise ValueError("pushout feet must share the same source")
+    K, M, L = f.target, g.target, f.source
+    for X in (K, M, L):
+        _require_valid(X)
+    for name, h in (("f", f), ("g", g)):
+        problems = h.defects()
+        if problems:
+            raise ValueError(f"{name} is not a precubical morphism: {problems[0]}")
+    uf = _UnionFind()
+    for cell in L.all_cells():
+        key = (cell.dim, cell.label)
+        uf.union((cell.dim, "K", f.mapping[key]), (cell.dim, "M", g.mapping[key]))
+    tags = {}
+    for node in uf.parent:
+        tags.setdefault(uf.find(node), []).append(f"{node[1]}:{node[2]}")
+    least = {root: min(group) for root, group in tags.items()}
+    renamed = {node: least[uf.find(node)] for node in uf.parent}
+    cells, rows = {}, {}
+    for dim in range(max(K.top_dim, M.top_dim) + 1):
+        named = set()
+        out = cells[dim] = []
+        for side, complex_ in (("K", K), ("M", M)):
+            tag, table = side + ":", _face_rows(complex_, dim)
+            for label in complex_.cells(dim):
+                name = renamed.get((dim, side, label))
+                if name is None:
+                    name = tag + label
+                elif name in named:
+                    continue
+                else:
+                    named.add(name)
+                out.append(name)
+                rows.setdefault(dim, {})[name] = tuple([
+                    renamed.get((dim - 1, side, value)) or tag + value
+                    for value in table[label]])
+    return PrecubicalSet._adopt(cells, rows, True)
+
+
+def reference_validate(K: PrecubicalSet) -> list:
+    """validate one relation instance at a time, for every cell, without
+    the route test; leaves K's verdict alone.  The reference for the
+    report's contents and order."""
+    faults, relations = [], []
+    for dim in range(1, K.top_dim + 1):
+        low, mid, table = _face_rows(K, dim - 2), _face_rows(K, dim - 1), _face_rows(K, dim)
+        for label in K.cells(dim):
+            row = table[label]
+            for slot, value in enumerate(row):
+                i, alpha = slot // 2 + 1, slot % 2
+                if value is None:
+                    faults.append(Violation("missing-face", dim, label, i, alpha))
+                elif value not in mid:
+                    faults.append(Violation("dangling-face", dim, label, i, alpha,
+                                            detail=f"points at undeclared cell {value!r}"))
+            for j in range(1, dim + 1):
+                for i in range(1, j):
+                    for alpha in (0, 1):
+                        ia = row[2 * i - 2 + alpha]
+                        if ia not in mid:
+                            continue
+                        for beta in (0, 1):
+                            jb = row[2 * j - 2 + beta]
+                            if jb not in mid:
+                                continue
+                            left = mid[jb][2 * i - 2 + alpha]
+                            right = mid[ia][2 * j - 4 + beta]
+                            if left != right and left in low and right in low:
+                                relations.append(Violation(
+                                    "cubical-relation", dim, label, i, alpha, j, beta,
+                                    f"d[{i},{alpha}]d[{j},{beta}] = {left!r} "
+                                    f"but d[{j-1},{beta}]d[{i},{alpha}] = {right!r}"))
+    return faults + relations

@@ -70,6 +70,24 @@ class TestValidateCommand:
         assert report["violations"][-1] == {"kind": "missing-face", "dim": 20000, "cell": "x",
                                             "i": 20000, "alpha": 1}
 
+    def test_tall_cell_over_faces_without_faces_validates_in_linear_time(self, tmp_path):
+        # one 4000-cell whose 8000 faces are all y, a declared 3999-cell
+        # with no face records: none of the 4000 * 3999 / 2 coordinate
+        # pairs can break a relation, since y has no faces to compare.
+        # Walking them took 13 s; the check takes well under one.
+        d = 4000
+        faces = [{"alpha": alpha, "cell": "x", "dim": d, "i": i, "value": "y"}
+                 for i in range(1, d + 1) for alpha in (0, 1)]
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps({"cells": {str(d - 1): ["y"], str(d): ["x"]}, "faces": faces,
+                                    "format_version": "1", "top_dim": d}), encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "precubical.cli", "validate", str(path)],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1
+        violations = json.loads(proc.stdout)["violations"]
+        assert len(violations) == 2 * (d - 1) == 7998
+        assert {(v["kind"], v["cell"]) for v in violations} == {("missing-face", "y")}
+
     def test_repeated_label_among_many_is_named_in_linear_time(self, tmp_path):
         # naming the repeated label counted every label once per label:
         # 100,001 vertex labels took minutes
@@ -170,6 +188,34 @@ class TestGenerateCommand:
         code, _, err = run(capsys, ["generate", "klein"])
         assert code == 2
         assert "unknown family" in err
+
+    def test_cube_25_exits_2_before_building(self, capsys):
+        # 3^25 cells, about 8 * 10^11: refused from the closed-form count
+        code, out, err = run(capsys, ["generate", "cube", "25"])
+        assert code == 2 and out == ""
+        assert err == (f"error: cube 25 would have more than {cli.MAX_GENERATED_CELLS} cells, "
+                       "the most generate builds\n")
+
+    @pytest.mark.parametrize("family, largest, cells", [
+        ("cube", 10, 3 ** 10), ("boundary", 10, 3 ** 10 - 1), ("torus", 16, 2 ** 16),
+        ("interval", 49999, 99999),
+    ])
+    def test_largest_allowed_size_is_the_bound(self, monkeypatch, family, largest, cells):
+        # one size more is refused; the size itself reaches the builder
+        assert cells <= cli.MAX_GENERATED_CELLS < cli._CELL_COUNTS[family](largest + 1)
+        assert cli._CELL_COUNTS[family](largest) == cells
+        built = []
+        monkeypatch.setattr(cli, "generate", lambda family, param: built.append(param) or
+                            standard_cube(0))
+        assert main(["generate", family, str(largest), "-o", os.devnull]) == 0
+        assert main(["generate", family, str(largest + 1), "-o", os.devnull]) == 2
+        assert built == [largest]
+
+    def test_largest_allowed_interval_generates(self, capsys, tmp_path):
+        out_path = tmp_path / "interval.json"
+        code, _, _ = run(capsys, ["generate", "interval", "49999", "-o", str(out_path)])
+        assert code == 0
+        assert parse(out_path.read_bytes()).cell_counts() == (50000, 49999)
 
     def test_missing_parameter_exits_2(self, capsys):
         code, _, err = run(capsys, ["generate", "cube"])
