@@ -342,7 +342,11 @@ def _tabulate(cells, entries) -> tuple[dict, dict]:
         for lab in labels:
             if not isinstance(lab, str):
                 raise ValueError(f"cell label must be a string: {lab!r}")
-        rows[dim] = {label: [None] * (2 * dim) for label in labels}
+        try:
+            rows[dim] = {label: [None] * (2 * dim) for label in labels}
+        except (OverflowError, MemoryError):
+            # a row longer than a list can be raises one of these at once
+            raise ValueError(f"cell dimension is too large: {dim}") from None
     _require_distinct(checked, rows)
     for (dim, i, alpha, label), value in entries:
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:

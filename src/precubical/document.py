@@ -26,15 +26,19 @@ followed by a newline:
 So serialize(parse(serialize(K))) is byte-identical to serialize(K).
 
 Both directions move each dimension's face records as whole columns.
-parse accepts any layout and has one reader.  It reads the text without
-json's repeated-key hook and checks the tree's shape, one whole column at
-a time.  When the tree has exactly the four top-level keys and the text
-has no ":" escape, the number of ":" in the text vouches that no key was
-repeated.  Any other document, and any that fails a shape check, is read
-again with the hook, so a repeated key is reported before anything else.
-When the face columns are the complete face table of the cells in the
-order they are listed, the rows come straight from the value column;
-otherwise each record goes through the constructor's structural checks.
+parse accepts any layout and has one reader, with a fast read for the
+canonical layout.  A text that starts as every canonical document does is
+read without json's repeated-key hook and without the shape checks.  When
+it has as many face records as its cells have face slots, the face rows
+are cut straight from the value column, each entry the very label of the
+cell it names; when at most half the face slots are empty, the records go
+through the constructor's structural checks.  That complex is kept only
+if writing it back gives the text byte for byte.  The writer never
+repeats a key, so a text that lost a pair to json.loads is never kept,
+and since parse(serialize(K)) == K, a kept text gives what the hooked
+read would.  Every other document is read with the hook, so a repeated
+key is reported before anything else, and then goes through the shape
+checks, whole columns at a time, and the constructor's structural checks.
 """
 
 from __future__ import annotations
@@ -61,35 +65,42 @@ class FormatError(ValueError):
 
 def serialize(K: PrecubicalSet) -> str:
     """Canonical document text for K (UTF-8 friendly, newline-terminated)."""
-    # _quote is what json.dumps calls on a str
+    return _text(K)
+
+
+def _text(K: PrecubicalSet) -> str:
+    # the writer behind serialize.  parse checks its fast read with this
+    # one, not with serialize, because a benchmark or a tracer may replace
+    # the public name.  _quote is what json.dumps calls on a str.
     quoted = {d: list(map(_quote, K.cells(d))) for d in range(K.top_dim + 1) if K.cells(d)}
     cells = ['    "%d": [\n      %s\n    ]' % (d, ",\n      ".join(quoted[d]))
              for d in sorted(quoted, key=str)]
-    # a record is head, cell, middle, value for its slot (i, alpha); the
-    # closing brace goes into the separator.  Walking the sorted labels and
-    # each face row in slot order visits the entries in canonical order.
+    # a record is head, cell, middle, value and its closing brace and comma
+    # for its slot (i, alpha).  Walking the sorted labels and each face row
+    # in slot order visits the entries in canonical order.  Only the
+    # dimensions that have cells are walked.
     records = []
-    for d in range(1, K.top_dim + 1):
-        labels = K.cells(d)
+    for d in quoted:
         slots = [(i, alpha) for i in range(1, d + 1) for alpha in (0, 1)]
         heads = ['    {\n      "alpha": %d,\n      "cell": ' % alpha for _, alpha in slots]
         middles = [',\n      "dim": %d,\n      "i": %d,\n      "value": ' % (d, i)
                    for i, _ in slots]
-        values = list(chain.from_iterable(map(_face_rows(K, d).__getitem__, labels)))
+        values = list(chain.from_iterable(map(_face_rows(K, d).__getitem__, K.cells(d))))
         present = list(map(is_not, values, repeat(None)))
-        column = chain.from_iterable(map(repeat, quoted.get(d, ()), repeat(2 * d)))
+        column = chain.from_iterable(map(repeat, quoted[d], repeat(2 * d)))
         records += map("".join, zip(compress(cycle(heads), present), compress(column, present),
                                     compress(cycle(middles), present),
-                                    map(_quote, compress(values, present))))
-    return '{\n  "cells": %s,\n  "faces": %s,\n  "format_version": %s,\n  "top_dim": %d\n}\n' % (
-        "{\n" + ",\n".join(cells) + "\n  }" if cells else "{}",
-        "[\n" + "\n    },\n".join(records) + "\n    }\n  ]" if records else "[]",
-        _quote(FORMAT_VERSION),
-        K.top_dim,
-    )
+                                    map(_quote, compress(values, present)), repeat("\n    },\n")))
+    if records:
+        # the last record is followed by the end of the array, not a comma
+        records[-1] = records[-1].removesuffix(",\n") + "\n  ]"
+    head = '{\n  "cells": %s,\n  "faces": %s' % (
+        "{\n" + ",\n".join(cells) + "\n  }" if cells else "{}", "[\n" if records else "[]")
+    tail = ',\n  "format_version": %s,\n  "top_dim": %d\n}\n' % (_quote(FORMAT_VERSION), K.top_dim)
+    # one join, so that the text is built once
+    return "".join(chain([head], records, [tail]))
 
 
-_TOP_KEYS = frozenset({"cells", "faces", "format_version", "top_dim"})
 # the fields of a face record, in canonical order, and the type of each
 _FACE_FIELDS = {"dim": int, "i": int, "alpha": int, "cell": str, "value": str}
 
@@ -118,9 +129,9 @@ def parse(data, check: bool = True) -> PrecubicalSet:
         elif not isinstance(data, str):
             raise TypeError(f"the JSON object must be str, bytes or bytearray, "
                             f"not {type(data).__name__}")
-        shape = _unhooked_shape(data)
-        if shape is None:
-            shape = _shape(json.loads(data, object_pairs_hook=_object))
+        K = _canonical(data)
+        if K is None:
+            cells, columns, top_dim = _shape(json.loads(data, object_pairs_hook=_object))
     except UnicodeDecodeError as exc:
         raise FormatError(f"document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -132,57 +143,67 @@ def parse(data, check: bool = True) -> PrecubicalSet:
     except ValueError as exc:
         # int() refuses a literal longer than sys.get_int_max_str_digits()
         raise FormatError(f"document holds an integer too long to read: {exc}") from exc
-    cells, columns, top_dim = shape
-
-    # the face rows go through the constructor's structural checks, unless
-    # the columns are the complete face table; duplicate records are
-    # reported before any structural failure
-    rows = _table_rows(cells, columns)
-    try:
-        if rows is None:
+    if K is None:
+        # the face rows go through the constructor's structural checks;
+        # duplicate records are reported before any structural failure
+        try:
             cells, rows = _tabulate(cells, zip(zip(*columns[:4]), columns[4]))
+        except ValueError as exc:
+            if len(set(zip(*columns[:4]))) != len(columns[4]):
+                message = "duplicate face records for the same (dim, i, alpha, cell)"
+                raise FormatError(message) from None
+            raise FormatError(f"malformed document: {exc}") from exc
         K = PrecubicalSet._adopt(cells, rows, False)
-    except ValueError as exc:
-        if len(set(zip(*columns[:4]))) != len(columns[4]):
-            message = "duplicate face records for the same (dim, i, alpha, cell)"
-            raise FormatError(message) from None
-        raise FormatError(f"malformed document: {exc}") from exc
-    if not isinstance(top_dim, int) or isinstance(top_dim, bool):
-        raise FormatError(f"'top_dim' must be an integer: {top_dim!r}")
-    if top_dim != K.top_dim:
-        raise FormatError(
-            f"declared top_dim {top_dim} does not match cells (top dimension {K.top_dim})"
-        )
+        if not isinstance(top_dim, int) or isinstance(top_dim, bool):
+            raise FormatError(f"'top_dim' must be an integer: {top_dim!r}")
+        if top_dim != K.top_dim:
+            raise FormatError(
+                f"declared top_dim {top_dim} does not match cells (top dimension {K.top_dim})"
+            )
     if check:
         _check(K)
     return K
 
 
-def _unhooked_shape(text: str):
-    """The _shape of text read without the repeated-key hook, when the
-    colon count vouches that no key is repeated; None otherwise, and for
-    every text that fails a check, so that the hooked read reports it."""
-    if "\\u003" in text:
+def _canonical(text: str) -> PrecubicalSet | None:
+    """The complex of text, read without the repeated-key hook, when text
+    is the canonical document of that complex; None for every other text,
+    so that the hooked read reports on it."""
+    if not text.startswith('{\n  "cells": '):
         return None
+    # nothing here names a fault: a text this read takes wrongly, such as
+    # one with a label that is not a string or a pair that json.loads
+    # dropped, either raises or is not what the writer gives back
     try:
-        cells, columns, top_dim = _shape(json.loads(text))
-    except (ValueError, RecursionError):
+        tree = json.loads(text)
+        cells = {int(d): labels for d, labels in tree["cells"].items()}
+        values = list(map(itemgetter("value"), tree["faces"]))
+        slots = sum(2 * d * len(labels) for d, labels in cells.items())
+        if slots == len(values):
+            # the complete face table, if the write-back agrees: an
+            # n-cell's row is its next 2n values, each the very label of
+            # the cell below that it names, and a vertex's row is ()
+            rows, start = {}, 0
+            for d in sorted(d for d, labels in cells.items() if labels):
+                end = start + 2 * d * len(cells[d])
+                below, part = {label: label for label in cells.get(d - 1, ())}, values[start:end]
+                column = map(below.get, part, part)
+                rows[d] = dict(zip(cells[d], zip(*[column] * (2 * d)) if d else repeat(())))
+                start = end
+        elif slots <= 2 * len(values):
+            # some faces are missing; the bound keeps the empty slots, and
+            # so the work of the write-back, within the size of the text
+            cells, rows = _tabulate(cells, zip(map(itemgetter("dim", "i", "alpha", "cell"),
+                                                   tree["faces"]), values))
+        else:
+            return None
+        # the JSON tree is dropped before the write-back, which would
+        # otherwise peak on top of it
+        del tree, values
+        K = PrecubicalSet._adopt(cells, rows, False)
+        return K if _text(K) == text else None
+    except (ValueError, TypeError, LookupError, AttributeError, RecursionError):
         return None
-    # json.loads keeps only the last of two equal keys, so count that no
-    # pair was dropped.  Every key/value pair of the text has exactly one
-    # ":" outside strings, and with no : escape in the text (no "\u003" at
-    # all) each string has exactly the colons of its own literal.  The sum
-    # below counts the pairs _shape read (the four top-level keys, the
-    # dimension keys and five fields a record) and the colons of the
-    # strings it read (labels, cell and value columns); none of their keys
-    # holds one.  Any other pair or string in the text, such as a fifth
-    # top-level key or a pair that json.loads dropped, adds at least one
-    # ":" to the text's count and none to the sum.
-    pairs = len(_TOP_KEYS) + len(cells) + len(_FACE_FIELDS) * len(columns[4])
-    strings = chain(chain.from_iterable(cells.values()), columns[3], columns[4])
-    if text.count(":") != pairs + "".join(strings).count(":"):
-        return None
-    return cells, columns, top_dim
 
 
 def _shape(tree) -> tuple[dict, list, object]:
@@ -249,33 +270,6 @@ def _shape(tree) -> tuple[dict, list, object]:
                 if type(record[field]) is not str:
                     raise FormatError(f"face field {field!r} must be a string: {record!r}")
     return cells, columns, tree["top_dim"]
-
-
-def _table_rows(cells, columns) -> dict | None:
-    """The face rows of cells when the columns are their complete face
-    table, each cell's 2n entries in slot order and the cells in the order
-    cells lists them (canonical order when the labels are sorted); None
-    otherwise."""
-    # an n-cell has 2n faces; the count is checked before the table is
-    # built, so the table is no longer than the document
-    if min(cells, default=0) < 0 \
-            or len(columns[4]) != sum(2 * d * len(labels) for d, labels in cells.items()):
-        return None
-    # a dimension without cells has no rows, however large it is
-    filled = sorted(d for d, labels in cells.items() if labels)
-    dims, indices, signs, owners = [], [], [], []
-    for d in filled:
-        labels = cells[d]
-        dims += [d] * (2 * d * len(labels))
-        indices += [i for i in range(1, d + 1) for _ in (0, 1)] * len(labels)
-        signs += [0, 1] * (d * len(labels))
-        owners += chain.from_iterable(map(repeat, labels, repeat(2 * d)))
-    if columns[:4] != [dims, indices, signs, owners]:
-        return None
-    # an n-cell's row is its next 2n values, and a vertex's row is ()
-    entries = iter(columns[4])
-    return {d: dict(zip(cells[d], zip(*[entries] * (2 * d)) if d else repeat(())))
-            for d in filled}
 
 
 def _check(K: PrecubicalSet) -> None:

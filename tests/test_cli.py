@@ -54,6 +54,17 @@ class TestValidateCommand:
         assert code == 1
         assert "error" in err
 
+    def test_huge_dimension_exits_1_with_an_error_line(self, capsys, tmp_path):
+        # a row of 2 * 10^20 slots raised a bare OverflowError
+        path = tmp_path / "huge.json"
+        path.write_text('{"cells": {"0": ["a"], "99999999999999999999": ["x"]}, "faces": [], '
+                        '"format_version": "1", "top_dim": 99999999999999999999}',
+                        encoding="utf-8")
+        code, out, err = run(capsys, ["info", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("error: malformed document: cell dimension is too large: "
+                       "99999999999999999999\n")
+
     def test_tall_cell_without_faces_validates_in_linear_time(self, tmp_path):
         # one cell of dimension 20,000 and no face records: every face is
         # missing, so no pair of its coordinates can break a relation, and

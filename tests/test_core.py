@@ -153,6 +153,13 @@ class TestValidate:
             PrecubicalSet(cells, faces)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("dim", [10**20, 10**17])
+    def test_dimension_too_large_for_a_row_is_named(self, dim):
+        # [None] * (2 * dim) raised a bare OverflowError or MemoryError
+        with pytest.raises(ValueError) as err:
+            PrecubicalSet({dim: ["x"]})
+        assert str(err.value) == f"cell dimension is too large: {dim}"
+
     @pytest.mark.parametrize("cells, faces, message", [
         ({0: [1]}, {}, "cell label must be a string: 1"),
         ({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): 5}, "face value must be a label string: 5"),

@@ -2,7 +2,10 @@
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -301,6 +304,9 @@ class TestCanonicalWriter:
         assert parse(text, check=False) == K
 
 
+HUGE_DIMENSION = ('{"cells": {"0": ["00"], "99999999999999999999": ["x"]}, "faces": [], '
+                  '"format_version": "1", "top_dim": 99999999999999999999}')
+
 SQUARE_TREE = {
     "format_version": "1",
     "top_dim": 2,
@@ -427,6 +433,9 @@ MALFORMED = [
      "document holds an integer too long to read: Exceeds the limit (4300 digits) for integer "
      "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase "
      "the limit"),
+    # a row of 2 * 10^20 slots is longer than any list
+    ("huge-dimension", HUGE_DIMENSION,
+     "malformed document: cell dimension is too large: 99999999999999999999"),
     ("not-utf8", b"\xff\xfe",
      "document is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ]
@@ -457,10 +466,11 @@ def hook_calls(monkeypatch):
 
 
 class TestColumnarPass:
-    """parse's one reader: which documents the colon count lets it read
-    without the repeated-key hook, and that each choice it makes from the
-    input (the hook, the whole-column record checks, face rows from the
-    value column) leaves the outcome of every document as it was."""
+    """parse's one reader: it reads a text without the repeated-key hook
+    only when the text is the canonical document of what it read, and each
+    choice it makes from the input (the hook, the whole-column record
+    checks, face rows from the value column) leaves the outcome of every
+    document as it was."""
 
     @pytest.mark.parametrize("build", [lambda: standard_cube(5), lambda: torus(3),
                                        _pushout_with_colons],
@@ -481,19 +491,46 @@ class TestColumnarPass:
         assert hook_calls
 
     def test_missing_face_document_skips_the_hook(self, hook_calls):
+        # the canonical layout with one record dropped, as a corrupted
+        # document of the benchmark is written
         tree = json.loads(serialize(standard_cube(3)))
         del tree["faces"][7]
+        text = json.dumps(tree, indent=2, sort_keys=True) + "\n"
         with pytest.raises(FormatError) as err:
-            parse(json.dumps(tree))
+            parse(text)
         assert [v.kind for v in err.value.violations] == ["missing-face"]
+        assert outcome(parse, text, False) == outcome(parse_records, text, False)
         assert hook_calls == []
 
     def test_shuffled_records_skip_the_hook(self, corpus_complex, hook_calls):
+        # a compact or reordered text is not what serialize writes, so it
+        # is read with the hook; the records keep their outcome either way
         _, K = corpus_complex
         tree = json.loads(serialize(K))
         random.Random(len(tree["faces"])).shuffle(tree["faces"])
-        assert parse(json.dumps(tree)) == K
-        assert hook_calls == []
+        for text in (json.dumps(tree), json.dumps(tree, indent=2, sort_keys=True) + "\n"):
+            del hook_calls[:]
+            assert parse(text) == K
+            assert outcome(parse, text, True) == outcome(parse_records, text, True)
+            assert bool(hook_calls) == (text != serialize(K))
+
+    @pytest.mark.parametrize("edit", ["trailing space", "colon escape"])
+    @pytest.mark.parametrize("drop", [None, 5], ids=["whole", "missing"])
+    def test_one_byte_off_canonical_takes_the_hook(self, edit, drop, hook_calls):
+        tree = json.loads(serialize(_pushout_with_colons()))
+        if drop is not None:
+            del tree["faces"][drop]
+        canonical = json.dumps(tree, indent=2, sort_keys=True) + "\n"
+        if edit == "trailing space":
+            text = canonical + " "
+        else:
+            text = canonical.replace('"K:K:***"', '"K:K\\u003a***"', 1)
+            assert text != canonical
+        for check in (True, False):
+            del hook_calls[:]
+            assert outcome(parse, text, check) == outcome(parse, canonical, check)
+            assert hook_calls
+            assert outcome(parse, text, check) == outcome(parse_records, text, check)
 
     @pytest.mark.parametrize("name", [m[0] for m in MALFORMED
                                       if not isinstance(m[1], (str, bytes)) or m[1][:1] == "{"])
@@ -534,6 +571,68 @@ class TestColumnarPass:
             tracemalloc.stop()
         assert K.cell_counts() == (1,)
         assert peak < 1_000_000
+
+    def test_tall_canonical_cell_without_faces_reads_in_bounded_memory(self):
+        # 114 bytes in the canonical layout: writing back one cell of
+        # dimension 10^5 makes 4 * 10^5 strings, a 62 MB peak, so the fast
+        # read leaves a text whose empty face slots outnumber its records
+        text = ('{\n  "cells": {\n    "100000": [\n      "x"\n    ]\n  },\n  "faces": [],\n'
+                '  "format_version": "1",\n  "top_dim": 100000\n}\n')
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        tracemalloc.start()
+        try:
+            K = parse(text, check=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.cell_counts()[-1] == 1 and K.top_dim == 100000
+        assert peak < 8_000_000
+
+    def test_empty_dimension_in_the_canonical_layout_costs_nothing(self):
+        # a dimension without cells has no face slots, so its records
+        # match in number, yet it must not be given a row of 2 * 10^9
+        tree = {"cells": {"0": ["a"], "1000000000": []}, "faces": [], "format_version": "1",
+                "top_dim": 0}
+        text = json.dumps(tree, indent=2, sort_keys=True) + "\n"
+        tracemalloc.start()
+        try:
+            K = parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.cell_counts() == (1,)
+        assert peak < 1_000_000
+
+    def test_parsed_rows_hold_the_labels_below(self):
+        # each face entry of a parsed canonical document is the very string
+        # of the cell it names, as in a built complex, and a dangling one
+        # keeps its own
+        K = standard_cube(4)
+        tree = json.loads(serialize(K))
+        tree["faces"][-1]["value"] = "nowhere"
+        for text in (serialize(K), json.dumps(tree, indent=2, sort_keys=True) + "\n"):
+            back = parse(text, check=False)
+            for (dim, i, alpha, label), value in back.face_map.items():
+                if value != "nowhere":
+                    below = back.cells(dim - 1)
+                    assert below[below.index(value)] is value
+        assert back.face_label(4, "****", 4, 1) == "nowhere"
+
+    def test_parsed_cube_holds_what_a_built_cube_holds(self):
+        # the face entries used to be strings of their own: a parsed cube 9
+        # held 10.3 MB against 3.3 MB for a built one
+        text = serialize(standard_cube(8))
+        held = []
+        for make in (lambda: standard_cube(8), lambda: parse(text, check=False)):
+            tracemalloc.start()
+            try:
+                K = make()
+                held.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            del K
+        built, parsed = held
+        assert parsed < 1.3 * built
 
     def test_colon_escape_goes_through_the_hook(self, hook_calls):
         K = _pushout_with_colons()
@@ -594,6 +693,22 @@ class TestMalformedMessages:
         assert str(err.value) == (
             "syntax error at position 1: Expecting property name enclosed in double quotes"
         )
+
+
+def test_tall_cell_serializes_in_linear_time():
+    # one cell of dimension 20,000 and no faces: the writer made the 4d
+    # record strings of every dimension up to d, 8 * 10^8 of them
+    text = ('{"cells": {"20000": ["x"]}, "faces": [], "format_version": "1", '
+            '"top_dim": 20000}')
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from precubical import parse, serialize; "
+         "sys.stdout.write(serialize(parse(sys.stdin.read(), check=False)))"],
+        input=text, capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_readme_example_is_the_circle_document():

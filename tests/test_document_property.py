@@ -73,7 +73,9 @@ def insert_pair(text, anchor, pair):
 def mutated_documents(draw):
     """Text of a canonical document with up to three changes: a field
     changed or dropped, records shuffled, dropped or copied, a label given
-    a colon, written as ":" or as a : escape, or a key repeated."""
+    a colon, written as ":" or as a : escape, or a key repeated.  The text
+    is written compactly or in serialize's layout, which the fast read of
+    parse takes."""
     tree = copy.deepcopy(draw(st.sampled_from(BASES)))
     escaped = []
     for _ in range(draw(st.integers(0, 3))):
@@ -118,7 +120,8 @@ def mutated_documents(draw):
                 record[field] = draw(json_values)
             else:
                 record.pop(field, None)
-    text = json.dumps(tree)
+    compact = draw(st.booleans())
+    text = json.dumps(tree) if compact else json.dumps(tree, indent=2, sort_keys=True) + "\n"
     for label in escaped:
         quoted = json.dumps(label)
         text = text.replace(quoted, quoted.replace(":", "\\u003a"))
@@ -133,7 +136,7 @@ def mutated_documents(draw):
         text = insert_pair(text, '"cells": {', key + ": " + json.dumps(draw(json_values)))
     elif where == "record":
         field = json.dumps(draw(face_fields)) + ": " + json.dumps(draw(json_values))
-        text = insert_pair(text, '"faces": [{', field)
+        text = insert_pair(text, '"faces": [{' if compact else '"faces": [\n    {', field)
     elif where == "extra key":
         text = insert_pair(text, "{", '"extra": {%s, %s}' % (pair, pair))
     elif where == "extra object":
