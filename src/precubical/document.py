@@ -28,8 +28,10 @@ So serialize(parse(serialize(K))) is byte-identical to serialize(K).
 Both directions move each dimension's face records as whole columns.
 parse accepts any layout and has one reader, with a fast read for the
 canonical layout.  A text that starts as every canonical document does is
-read without json's repeated-key hook and without the shape checks.  When
-it has as many face records as its cells have face slots, the face rows
+read without json's repeated-key hook and without the shape checks.  One
+that declares a negative dimension goes straight to the hooked read,
+since its face slots would offset those of the other cells.  When it has
+as many face records as its cells have face slots, the face rows
 are cut straight from the value column, each entry the very label of the
 cell it names; when at most half the face slots are empty, the records go
 through the constructor's structural checks.  That complex is kept only
@@ -177,6 +179,10 @@ def _canonical(text: str) -> PrecubicalSet | None:
     try:
         tree = json.loads(text)
         cells = {int(d): labels for d, labels in tree["cells"].items()}
+        if min(cells, default=0) < 0:
+            # a negative dimension would offset a positive one in the slot
+            # count, and so lift the bound below
+            return None
         values = list(map(itemgetter("value"), tree["faces"]))
         slots = sum(2 * d * len(labels) for d, labels in cells.items())
         if slots == len(values):

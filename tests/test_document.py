@@ -451,6 +451,12 @@ def _pushout_with_colons() -> PrecubicalSet:
                    PcsMap(point, standard_cube(1), {(0, ""): "0"}))
 
 
+def _layouts(tree) -> tuple[str, str]:
+    """tree as compact JSON, which the hooked read takes, and in the
+    canonical layout, which the fast read tries first."""
+    return json.dumps(tree), json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.fixture
 def hook_calls(monkeypatch):
     """Counts the calls of the repeated-key hook of parse's hooked read."""
@@ -503,8 +509,9 @@ class TestColumnarPass:
         assert hook_calls == []
 
     def test_shuffled_records_skip_the_hook(self, corpus_complex, hook_calls):
-        # a compact or reordered text is not what serialize writes, so it
-        # is read with the hook; the records keep their outcome either way
+        # the name is historical: a compact or reordered text is not what
+        # serialize writes, so it is read with the hook; the records keep
+        # their outcome either way
         _, K = corpus_complex
         tree = json.loads(serialize(K))
         random.Random(len(tree["faces"])).shuffle(tree["faces"])
@@ -514,8 +521,11 @@ class TestColumnarPass:
             assert outcome(parse, text, True) == outcome(parse_records, text, True)
             assert bool(hook_calls) == (text != serialize(K))
 
-    @pytest.mark.parametrize("edit", ["trailing space", "colon escape"])
-    @pytest.mark.parametrize("drop", [None, 5], ids=["whole", "missing"])
+    # the colon escape on the whole text is test_colon_escape_goes_through_the_hook
+    @pytest.mark.parametrize("edit, drop", [("trailing space", None), ("trailing space", 5),
+                                            ("colon escape", 5)],
+                             ids=["whole-trailing-space", "missing-trailing-space",
+                                  "missing-colon-escape"])
     def test_one_byte_off_canonical_takes_the_hook(self, edit, drop, hook_calls):
         tree = json.loads(serialize(_pushout_with_colons()))
         if drop is not None:
@@ -554,23 +564,53 @@ class TestColumnarPass:
         # it adds no record and no row, so only its key can reject it
         tree = copy.deepcopy(SQUARE_TREE)
         tree["cells"]["-1"] = []
-        with pytest.raises(FormatError) as err:
-            parse(json.dumps(tree))
-        assert str(err.value) == "malformed document: cell dimension must be a non-negative int: -1"
+        for text in _layouts(tree):
+            with pytest.raises(FormatError) as err:
+                parse(text)
+            assert str(err.value) == (
+                "malformed document: cell dimension must be a non-negative int: -1")
+
+    @pytest.mark.parametrize("power", [20, 8])
+    def test_negative_dimension_does_not_offset_the_face_slots(self, power):
+        # cells of dimension -n and n have -2n + 2n = 0 face slots, as many
+        # as the records; a row of 2n for the n-cell raised OverflowError
+        # at 10^20 and took 3.2 GB at 10^8, so the child caps its memory
+        n = 10 ** power
+        tree = {"cells": {str(-n): ["b"], str(n): ["x"]}, "faces": [], "format_version": "1",
+                "top_dim": n}
+        code = ("import resource, sys, tracemalloc\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from precubical import FormatError, parse\n"
+                "text = sys.stdin.read()\n"
+                "tracemalloc.start()\n"
+                "try:\n"
+                "    parse(text)\n"
+                "except FormatError as exc:\n"
+                "    print(exc)\n"
+                "print(tracemalloc.get_traced_memory()[1])\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        for text in _layouts(tree):
+            proc = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True,
+                                  text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+            assert proc.returncode == 0, proc.stderr
+            message, peak = proc.stdout.splitlines()
+            assert message == f"malformed document: cell dimension must be a non-negative int: {-n}"
+            assert int(peak) < 1_000_000
 
     def test_empty_dimension_adds_nothing_to_the_face_table(self):
         # the table of a huge dimension without cells used to be built in
         # full: 49 MB for this 88-byte document
-        text = ('{"cells": {"0": ["a"], "1000000": []}, "faces": [], '
-                '"format_version": "1", "top_dim": 0}')
-        tracemalloc.start()
-        try:
-            K = parse(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert K.cell_counts() == (1,)
-        assert peak < 1_000_000
+        compact = ('{"cells": {"0": ["a"], "1000000": []}, "faces": [], '
+                   '"format_version": "1", "top_dim": 0}')
+        for text in _layouts(json.loads(compact)):
+            tracemalloc.start()
+            try:
+                K = parse(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert K.cell_counts() == (1,)
+            assert peak < 1_000_000
 
     def test_tall_canonical_cell_without_faces_reads_in_bounded_memory(self):
         # 114 bytes in the canonical layout: writing back one cell of
@@ -587,21 +627,6 @@ class TestColumnarPass:
             tracemalloc.stop()
         assert K.cell_counts()[-1] == 1 and K.top_dim == 100000
         assert peak < 8_000_000
-
-    def test_empty_dimension_in_the_canonical_layout_costs_nothing(self):
-        # a dimension without cells has no face slots, so its records
-        # match in number, yet it must not be given a row of 2 * 10^9
-        tree = {"cells": {"0": ["a"], "1000000000": []}, "faces": [], "format_version": "1",
-                "top_dim": 0}
-        text = json.dumps(tree, indent=2, sort_keys=True) + "\n"
-        tracemalloc.start()
-        try:
-            K = parse(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert K.cell_counts() == (1,)
-        assert peak < 1_000_000
 
     def test_parsed_rows_hold_the_labels_below(self):
         # each face entry of a parsed canonical document is the very string
@@ -637,8 +662,11 @@ class TestColumnarPass:
     def test_colon_escape_goes_through_the_hook(self, hook_calls):
         K = _pushout_with_colons()
         text = serialize(K).replace('"K:K:***"', '"K:K\\u003a***"')
+        assert text != serialize(K)
         assert parse(text) == K
         assert hook_calls
+        for check in (True, False):
+            assert outcome(parse, text, check) == outcome(parse_records, text, check)
 
     def test_colon_escape_cannot_hide_a_repeated_key(self):
         # the escape takes one ":" out of the text and the repeated key adds
@@ -652,17 +680,21 @@ class TestColumnarPass:
 
     @pytest.mark.parametrize("K", [standard_cube(3), _pushout_with_colons()],
                              ids=["cube3", "pushout"])
-    def test_dangling_value_is_reported_like_the_per_record_pass(self, K):
+    def test_dangling_value_is_reported_like_the_per_record_pass(self, K, hook_calls):
         tree = json.loads(serialize(K))
         tree["faces"][-1]["value"] = "x:y"
-        text = json.dumps(tree)
-        with pytest.raises(FormatError) as fast:
-            parse(text)
-        with pytest.raises(FormatError) as slow:
-            parse_records(text, True)
-        assert str(fast.value) == str(slow.value)
-        assert fast.value.violations == slow.value.violations
-        assert parse(text, check=False) == parse_records(text, False)
+        compact, canonical = _layouts(tree)
+        for text in (compact, canonical):
+            del hook_calls[:]
+            with pytest.raises(FormatError) as fast:
+                parse(text)
+            with pytest.raises(FormatError) as slow:
+                parse_records(text, True)
+            assert str(fast.value) == str(slow.value)
+            assert fast.value.violations == slow.value.violations
+            assert parse(text, check=False) == parse_records(text, False)
+            # only the canonical text is read without the hook
+            assert bool(hook_calls) == (text == compact)
 
 
 class TestMalformedMessages:
