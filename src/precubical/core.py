@@ -30,7 +30,8 @@ each dimension that has cells, one row per declared cell, the tuple of its
 hand-built or parsed complex has no entry.  A vertex's row is ().  Other
 modules read the rows through _face_rows.  Every complex is made by
 PrecubicalSet._fill, which the constructor and _adopt end in; the checked
-path, _tabulate, is shared with parse.
+path, _tabulate, is shared with parse, and gives each face entry that names
+a declared cell that cell's own label string.
 
 The builders and validate work a whole face row at a time.  standard_cube
 grows the n-cube from the rows of the (n-1)-cube, and pushout renames each
@@ -363,8 +364,12 @@ def _tabulate(cells, entries) -> tuple[dict, dict]:
         if row[2 * i - 2 + alpha] is not None:
             raise ValueError(f"face d[{i},{alpha}] of cell ({dim}, {label!r}) given twice")
         row[2 * i - 2 + alpha] = value
-    return checked, {dim: {label: tuple(row) for label, row in table.items()}
-                     for dim, table in rows.items()}
+    # each value becomes the very label of the cell below that it names,
+    # as in a built complex; a dangling one keeps its own string
+    for dim, table in rows.items():
+        get = {label: label for label in checked.get(dim - 1, ())}.get
+        rows[dim] = {label: tuple(map(get, row, row)) for label, row in table.items()}
+    return checked, rows
 
 
 def _require_distinct(cells, rows) -> None:

@@ -28,24 +28,31 @@ So serialize(parse(serialize(K))) is byte-identical to serialize(K).
 Both directions move each dimension's face records as whole columns.
 parse accepts any layout and has one reader, with a fast read for the
 canonical layout.  A text that starts as every canonical document does is
-read without json's repeated-key hook and without the shape checks.  One
-that declares a negative dimension goes straight to the hooked read,
-since its face slots would offset those of the other cells.  When it has
-as many face records as its cells have face slots, the face rows
-are cut straight from the value column, each entry the very label of the
-cell it names; when at most half the face slots are empty, the records go
-through the constructor's structural checks.  That complex is kept only
-if writing it back gives the text byte for byte.  The writer never
-repeats a key, so a text that lost a pair to json.loads is never kept,
-and since parse(serialize(K)) == K, a kept text gives what the hooked
-read would.  Every other document is read with the hook, so a repeated
-key is reported before anything else, and then goes through the shape
-checks, whole columns at a time, and the constructor's structural checks.
+read by that layout, without decoding it as one JSON tree: json escapes
+every newline inside a string, so each newline of a canonical text is
+structural.  The cells object ends at the first line that opens with
+'  "faces": ', and after that each record holds its value on a line of
+its own.  A text that declares a negative dimension goes straight to
+the hooked read, since its face slots would offset those of the other
+cells.  When a text has as many value lines as its cells have face slots,
+the face rows are cut straight from the value column, each entry the very
+label of the cell it names; when at most half the face slots are empty,
+the alpha, cell, dim and i lines above each value are read too, and the
+records go through the constructor's structural checks.  Whatever the
+layout read proposes is kept only if writing it back gives the text byte
+for byte.  The writer never repeats a key and puts every line where the
+layout read looks for it, so a text with a repeated key or a line out of
+place is never kept, and since parse(serialize(K)) == K, a kept text
+gives what the hooked read would.  Every other document is read with the
+hook, so a repeated key is reported before anything else, and then goes
+through the shape checks, whole columns at a time, and the constructor's
+structural checks.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from itertools import chain, compress, cycle, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -80,14 +87,17 @@ def _text(K: PrecubicalSet) -> str:
     # a record is head, cell, middle, value and its closing brace and comma
     # for its slot (i, alpha).  Walking the sorted labels and each face row
     # in slot order visits the entries in canonical order.  Only the
-    # dimensions that have cells are walked.
+    # dimensions that have a face entry are walked, so a tall cell without
+    # faces costs its row, not 4n record parts.
     records = []
     for d in quoted:
+        values = list(chain.from_iterable(map(_face_rows(K, d).__getitem__, K.cells(d))))
+        if values.count(None) == len(values):
+            continue
         slots = [(i, alpha) for i in range(1, d + 1) for alpha in (0, 1)]
         heads = ['    {\n      "alpha": %d,\n      "cell": ' % alpha for _, alpha in slots]
         middles = [',\n      "dim": %d,\n      "i": %d,\n      "value": ' % (d, i)
                    for i, _ in slots]
-        values = list(chain.from_iterable(map(_face_rows(K, d).__getitem__, K.cells(d))))
         present = list(map(is_not, values, repeat(None)))
         column = chain.from_iterable(map(repeat, quoted[d], repeat(2 * d)))
         records += map("".join, zip(compress(cycle(heads), present), compress(column, present),
@@ -168,22 +178,29 @@ def parse(data, check: bool = True) -> PrecubicalSet:
 
 
 def _canonical(text: str) -> PrecubicalSet | None:
-    """The complex of text, read without the repeated-key hook, when text
-    is the canonical document of that complex; None for every other text,
-    so that the hooked read reports on it."""
+    """The complex of text, proposed from the lines that serialize writes
+    and kept only when text is the canonical document of that complex;
+    None for every other text, so that the hooked read reports on it.
+
+    The proposal decodes the cells object and the value column, and when
+    faces are missing the alpha, cell, dim and i lines too, each with one
+    json.loads; the text is never decoded as one JSON tree."""
     if not text.startswith('{\n  "cells": '):
         return None
     # nothing here names a fault: a text this read takes wrongly, such as
-    # one with a label that is not a string or a pair that json.loads
-    # dropped, either raises or is not what the writer gives back
+    # one with a label that is not a string, a pair that json.loads
+    # dropped or a line out of place, either raises or is not what the
+    # writer gives back
     try:
-        tree = json.loads(text)
-        cells = {int(d): labels for d, labels in tree["cells"].items()}
+        # every newline of a canonical text is structural, so the cells
+        # object ends at the first ",\n  "faces": "
+        faces = text.index(',\n  "faces": ')
+        cells = {int(d): labels for d, labels in json.loads(text[13:faces]).items()}
         if min(cells, default=0) < 0:
             # a negative dimension would offset a positive one in the slot
             # count, and so lift the bound below
             return None
-        values = list(map(itemgetter("value"), tree["faces"]))
+        values = json.loads("[%s]" % ",".join(re.compile(_VALUE).findall(text, faces)))
         slots = sum(2 * d * len(labels) for d, labels in cells.items())
         if slots == len(values):
             # the complete face table, if the write-back agrees: an
@@ -198,18 +215,28 @@ def _canonical(text: str) -> PrecubicalSet | None:
                 start = end
         elif slots <= 2 * len(values):
             # some faces are missing; the bound keeps the empty slots, and
-            # so the work of the write-back, within the size of the text
-            cells, rows = _tabulate(cells, zip(map(itemgetter("dim", "i", "alpha", "cell"),
-                                                   tree["faces"]), values))
+            # so the work of the write-back, within the size of the text.
+            # The lines above each value give its alpha, cell, dim and i.
+            keys = json.loads("[%s]" % ",".join(map(",".join,
+                                                    re.compile(_HEAD).findall(text, faces))))
+            cells, rows = _tabulate(cells, zip(zip(keys[2::4], keys[3::4], keys[::4], keys[1::4]),
+                                               values))
+            del keys
         else:
             return None
-        # the JSON tree is dropped before the write-back, which would
-        # otherwise peak on top of it
-        del tree, values
+        # the columns are dropped before the write-back, which would
+        # otherwise peak on top of them
+        del values
         K = PrecubicalSet._adopt(cells, rows, False)
         return K if _text(K) == text else None
     except (ValueError, TypeError, LookupError, AttributeError, RecursionError):
         return None
+
+
+# the lines of a canonical face record: its value, and above it its
+# alpha, cell, dim and i, each up to the comma that ends the line
+_VALUE = r'\n      "value": (.*)'
+_HEAD = r'\n      "alpha": (.*),\n      "cell": (.*),\n      "dim": (.*),\n      "i": (.*),'
 
 
 def _shape(tree) -> tuple[dict, list, object]:

@@ -488,6 +488,29 @@ class TestColumnarPass:
         assert parse(text.encode("utf-8"), check=False) == K
         assert hook_calls == []
 
+    @pytest.mark.parametrize("drop", [None, 5], ids=["whole", "missing"])
+    @pytest.mark.parametrize("build", [lambda: standard_cube(5), lambda: torus(3),
+                                       _pushout_with_colons],
+                             ids=["cube5", "torus3", "pushout"])
+    def test_canonical_documents_are_read_by_their_lines(self, build, drop, monkeypatch):
+        # the fast read decodes the cells object and columns cut from the
+        # record lines, never the whole text
+        K = build()
+        tree = json.loads(serialize(K))
+        if drop is not None:
+            del tree["faces"][drop]
+        _, text = _layouts(tree)
+        expected = outcome(parse_records, text, False)
+        loads, lengths = json.loads, []
+
+        def spy(s, *args, **kwargs):
+            lengths.append(len(s))
+            return loads(s, *args, **kwargs)
+
+        monkeypatch.setattr(document.json, "loads", spy)
+        assert outcome(parse, text, False) == expected
+        assert lengths and max(lengths) < len(text)
+
     @pytest.mark.parametrize("name", ["repeated-dim-key", "repeated-face-field"])
     def test_repeated_keys_go_through_the_hook(self, name, hook_calls):
         _, document_text, message = next(m for m in MALFORMED if m[0] == name)
@@ -541,6 +564,52 @@ class TestColumnarPass:
             assert outcome(parse, text, check) == outcome(parse, canonical, check)
             assert hook_calls
             assert outcome(parse, text, check) == outcome(parse_records, text, check)
+
+    @pytest.mark.parametrize("edit", ["crlf", "crlf-after-cells", "label-with-a-value-line",
+                                      "extra-value-line", "extra-key-line", "reordered-keys",
+                                      "cut-after-faces-marker"])
+    @pytest.mark.parametrize("drop", [None, 5], ids=["whole", "missing"])
+    def test_texts_that_look_canonical_keep_their_outcome(self, edit, drop, hook_calls):
+        # each text starts or reads like a canonical document without being
+        # one, or is one whose labels hold what a record line holds; the
+        # line layout read must give what the per-record pass gives
+        if edit == "label-with-a-value-line":
+            # the newline is escaped in the text, so no record line begins
+            # inside the label
+            label = 'w\n      "value": "v"'
+            K = PrecubicalSet({0: ["v", label], 1: ["e"]},
+                              {(1, 1, 0, "e"): label, (1, 1, 1, "e"): "v"})
+        else:
+            K = _pushout_with_colons()
+        tree = json.loads(serialize(K))
+        if drop is not None:
+            del tree["faces"][drop % len(tree["faces"])]
+        _, text = _layouts(tree)
+        faces = text.index(',\n  "faces": ') + len(',\n  "faces": ')
+        record = text.index('      "value": ', faces)
+        if edit == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif edit == "crlf-after-cells":
+            text = text[:faces] + text[faces:].replace("\n", "\r\n")
+        elif edit == "extra-value-line":
+            text = text[:record] + '      "value": "00",\n' + text[record:]
+        elif edit == "extra-key-line":
+            text = text[:record] + '      "note": 1,\n' + text[record:]
+        elif edit == "reordered-keys":
+            # the dim and i lines of the first record swap places
+            start = text.index('      "dim": ', faces)
+            end = text.index("\n", text.index('      "i": ', start)) + 1
+            dim_line, i_line = text[start:end].splitlines(keepends=True)
+            text = text[:start] + i_line + dim_line + text[end:]
+        elif edit == "cut-after-faces-marker":
+            text = text[:faces]
+        for check in (True, False):
+            del hook_calls[:]
+            assert outcome(parse, text, check) == outcome(parse_records, text, check)
+            # only the text that is canonical is read without the hook
+            assert bool(hook_calls) == (edit != "label-with-a-value-line")
+        if edit == "label-with-a-value-line" and drop is None:
+            assert text == serialize(K) and parse(text) == K
 
     @pytest.mark.parametrize("name", [m[0] for m in MALFORMED
                                       if not isinstance(m[1], (str, bytes)) or m[1][:1] == "{"])
@@ -613,9 +682,11 @@ class TestColumnarPass:
             assert peak < 1_000_000
 
     def test_tall_canonical_cell_without_faces_reads_in_bounded_memory(self):
-        # 114 bytes in the canonical layout: writing back one cell of
-        # dimension 10^5 makes 4 * 10^5 strings, a 62 MB peak, so the fast
-        # read leaves a text whose empty face slots outnumber its records
+        # 114 bytes in the canonical layout, one cell of dimension 10^5 and
+        # no record: the fast read leaves a text whose empty face slots
+        # outnumber its records to the hooked read.  Writing it back made
+        # 4 * 10^5 strings, a 62 MB peak, before serialize skipped a
+        # dimension without face entries.
         text = ('{\n  "cells": {\n    "100000": [\n      "x"\n    ]\n  },\n  "faces": [],\n'
                 '  "format_version": "1",\n  "top_dim": 100000\n}\n')
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
@@ -628,36 +699,49 @@ class TestColumnarPass:
         assert K.cell_counts()[-1] == 1 and K.top_dim == 100000
         assert peak < 8_000_000
 
-    def test_parsed_rows_hold_the_labels_below(self):
-        # each face entry of a parsed canonical document is the very string
-        # of the cell it names, as in a built complex, and a dangling one
-        # keeps its own
+    def test_parsed_rows_hold_the_labels_below(self, hook_calls):
+        # each face entry of a parsed document is the very string of the
+        # cell it names, as in a built complex, and a dangling one keeps its
+        # own: whether the face rows are cut from the value column, built
+        # from the records of a canonical text with one dropped, or read
+        # with the hook from a compact text
         K = standard_cube(4)
         tree = json.loads(serialize(K))
         tree["faces"][-1]["value"] = "nowhere"
-        for text in (serialize(K), json.dumps(tree, indent=2, sort_keys=True) + "\n"):
+        dropped = copy.deepcopy(tree)
+        del dropped["faces"][3]
+        compact, canonical = _layouts(dropped)
+        for text in (serialize(K), *_layouts(tree), compact, canonical):
+            del hook_calls[:]
             back = parse(text, check=False)
+            assert bool(hook_calls) == text.startswith('{"')
             for (dim, i, alpha, label), value in back.face_map.items():
                 if value != "nowhere":
                     below = back.cells(dim - 1)
                     assert below[below.index(value)] is value
         assert back.face_label(4, "****", 4, 1) == "nowhere"
+        gone = tree["faces"][3]
+        assert back.face_label(gone["dim"], gone["cell"], gone["i"], gone["alpha"]) is None
 
     def test_parsed_cube_holds_what_a_built_cube_holds(self):
         # the face entries used to be strings of their own: a parsed cube 9
-        # held 10.3 MB against 3.3 MB for a built one
+        # held 10.3 MB against 3.3 MB for a built one, and a canonical cube 8
+        # with one record dropped 3.15 MB against 1.2 MB
         text = serialize(standard_cube(8))
-        held = []
-        for make in (lambda: standard_cube(8), lambda: parse(text, check=False)):
+        tree = json.loads(text)
+        del tree["faces"][7]
+
+        def held(make):
             tracemalloc.start()
             try:
                 K = make()
-                held.append(tracemalloc.get_traced_memory()[0])
+                return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-            del K
-        built, parsed = held
-        assert parsed < 1.3 * built
+
+        built = held(lambda: standard_cube(8))
+        for read in (text, *_layouts(tree)):
+            assert held(lambda: parse(read, check=False)) < 1.3 * built
 
     def test_colon_escape_goes_through_the_hook(self, hook_calls):
         K = _pushout_with_colons()
@@ -741,6 +825,21 @@ def test_tall_cell_serializes_in_linear_time():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_tall_cell_without_faces_serializes_in_bounded_memory():
+    # one cell of dimension 10^5 and no faces: the writer built the 4 * 10^5
+    # record parts of its slots, a 62 MB peak for 114 bytes of output
+    K = PrecubicalSet({100000: ["x"]})
+    tracemalloc.start()
+    try:
+        text = serialize(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == ('{\n  "cells": {\n    "100000": [\n      "x"\n    ]\n  },\n  "faces": [],\n'
+                    '  "format_version": "1",\n  "top_dim": 100000\n}\n')
+    assert peak < 4_000_000
 
 
 def test_readme_example_is_the_circle_document():
