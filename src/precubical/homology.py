@@ -37,6 +37,21 @@ That holds for non-unit pivots such as the 2s of Klein-bottle powers
 too.  A remainder step can take as source a row that never becomes a
 pivot, so when one ran in d_{n+1}, d_n is split whole.
 
+Before the split, homology coreduces (Mrozek and Batko, "Coreduction
+homology algorithm", 2009; Kaczynski, Mischaikow and Mrozek,
+Computational Homology, 2004).  It quotients out one vertex per
+connected component, which leaves H_n alone for n > 0 and takes one Z
+per component off H_0, added back after the split.  It then removes
+coreduction pairs: an n-cell b whose only live face is a, with
+coefficient +-1.  Then d(a) = +-d(d(b)) = 0, so a and b span an acyclic
+subcomplex, the quotient by it is a quasi-isomorphism, and it only
+restricts the other boundaries to the cells still live.  So the answer
+stays exact over Z.  A +-2 is never paired: Klein-bottle powers have no
+unit pivot at all.  A loop's two ends cancel, so it has no face to pair
+with.  On cubes and hollow cubes at most one cell is left to split; on
+Klein-bottle powers only the vertex goes, and the boundaries above it
+are split as built.
+
 Bases are ordered lexicographically by cell label, making every matrix and
 report reproducible bit for bit.
 """
@@ -287,25 +302,100 @@ class HomologyResult(_Value):
         ]
 
 
+def _coreduce(complex_: ChainComplex) -> tuple[ChainComplex, int]:
+    """The complex left when one vertex per connected component and then
+    every coreduction pair are removed, and the number of components.
+
+    Works a dimension at a time from the bottom: pairs of (d-1)-cells and
+    d-cells change the live faces of d-cells only, and remove d-cells,
+    which the next dimension reads.  Each d-cell keeps the count of its
+    live faces and the sum of their indices, which is the face itself
+    when the count is 1.  A queue, seeded in basis order, holds the cells
+    whose count fell to 1; one is paired when its face's coefficient is
+    +-1.  Each coordinate puts a +1 and a -1 into a boundary, so its
+    coefficients sum to 0 and a cell has one live face only after another
+    was removed: a dimension whose faces all stay live has no pair and is
+    skipped.  Boundaries that lost no cell are handed on as they are.
+    """
+    top = complex_.top_dim
+    if top == 0:
+        return ChainComplex({0: ()}, {}), complex_.rank_of_chains(0)
+    live = [[True] * complex_.rank_of_chains(d) for d in range(top + 1)]
+    components = 0
+    for d in range(1, top + 1):
+        rows, lo, hi = complex_.rows(d), live[d - 1], live[d]
+        if d > 1 and all(lo):
+            continue
+        live_faces = [0] * len(hi)
+        face_sum = [0] * len(hi)
+        for r in compress(range(len(lo)), lo):
+            for c in rows[r]:
+                live_faces[c] += 1
+                face_sum[c] += r
+        queue = [c for c, n in enumerate(live_faces) if n == 1]
+
+        def drop(r):
+            lo[r] = False
+            for c in rows[r]:
+                if hi[c]:
+                    live_faces[c] -= 1
+                    face_sum[c] -= r
+                    if live_faces[c] == 1:
+                        queue.append(c)
+
+        def drain():
+            # the queue grows while it is read
+            for c in queue:
+                r = face_sum[c]
+                if live_faces[c] == 1 and rows[r][c] in (1, -1):
+                    hi[c] = False
+                    drop(r)
+            queue.clear()
+
+        drain()
+        if d == 1:
+            # a vertex not yet removed is the first of a new component
+            for v, alive in enumerate(lo):
+                if alive:
+                    components += 1
+                    drop(v)
+                    drain()
+    basis, boundary = {}, {}
+    for d in range(top + 1):
+        basis[d] = tuple(compress(complex_.basis[d], live[d]))
+    for d in range(1, top + 1):
+        rows, lo, hi = complex_.rows(d), live[d - 1], live[d]
+        if len(basis[d]) < len(hi):
+            index = dict(zip(compress(range(len(hi)), hi), count()))
+            rows = [{index[c]: v for c, v in row.items() if hi[c]} for row in compress(rows, lo)]
+        elif len(basis[d - 1]) < len(lo):
+            rows = list(compress(rows, lo))
+        boundary[d] = rows
+    return ChainComplex(basis, boundary), components
+
+
 def homology(K: PrecubicalSet) -> HomologyResult:
     """Integer homology of the cell complex underlying K.
 
     H_n is Z^betti plus one finite cyclic summand per torsion coefficient;
     the coefficients are the invariant factors > 1 of the boundary matrix
-    one dimension up.
+    one dimension up.  The boundaries are split after coreduction, each
+    removed component adding one Z to H_0 (see the module docstring).
     """
     complex_ = chain_complex(K)
     top = complex_.top_dim
     if top < 0:
         return HomologyResult((), ())
-    factors = _boundary_factors(complex_)
+    reduced, components = _coreduce(complex_)
+    factors = _boundary_factors(reduced)
     betti = []
     torsion = []
     for d in range(top + 1):
         rank_in = len(factors.get(d, ()))
         rank_out = len(factors.get(d + 1, ()))
-        betti.append(complex_.rank_of_chains(d) - rank_in - rank_out)
+        betti.append(reduced.rank_of_chains(d) - rank_in - rank_out)
         torsion.append(tuple(f for f in factors.get(d + 1, ()) if f > 1))
+    betti[0] += components
     return HomologyResult(tuple(betti), tuple(torsion))
 
 

@@ -3,14 +3,16 @@
 The oracles here deliberately avoid the library code paths they are
 checking: corners are recomputed over every admissible face order, the
 product order is built from vertex words directly, flow morphism counts
-come from raw word enumeration, and path classes come from listing every
-edge path and saturating it under square moves.
+come from raw word enumeration, path classes come from listing every
+edge path and saturating it under square moves, and Betti numbers and
+even torsion come from boundary ranks mod primes.
 """
 
 import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from precubical import (
@@ -106,26 +108,34 @@ def _edge_ends(K: PrecubicalSet, e: str):
     return K.face_label(1, e, 1, 0), K.face_label(1, e, 1, 1)
 
 
-def random_glued_complex(rng: random.Random) -> PrecubicalSet:
+def random_glued_complex(rng: random.Random, min_cells: int = 0) -> PrecubicalSet:
     """A random pushout-glued complex: base pieces joined along a shared
-    vertex or a shared edge, one to three times."""
+    vertex or a shared edge, one to three times, and then once more at a
+    time until it has more than min_cells cells."""
     K = rng.choice(BASE_BUILDERS)()
     for _ in range(rng.randint(1, 3)):
-        M = rng.choice(BASE_BUILDERS)()
-        if rng.random() < 0.5:
-            point = standard_cube(0)
-            f = PcsMap(point, K, {(0, ""): rng.choice(K.cells(0))})
-            g = PcsMap(point, M, {(0, ""): rng.choice(M.cells(0))})
-        else:
-            edge = standard_cube(1)
-            eK = rng.choice(K.cells(1))
-            eM = rng.choice(M.cells(1))
-            sK, tK = _edge_ends(K, eK)
-            sM, tM = _edge_ends(M, eM)
-            f = PcsMap(edge, K, {(1, "*"): eK, (0, "0"): sK, (0, "1"): tK})
-            g = PcsMap(edge, M, {(1, "*"): eM, (0, "0"): sM, (0, "1"): tM})
-        K = pushout(f, g)
+        K = _glue_piece(rng, K)
+    while sum(K.cell_counts()) <= min_cells:
+        K = _glue_piece(rng, K)
     return K
+
+
+def _glue_piece(rng: random.Random, K: PrecubicalSet) -> PrecubicalSet:
+    """K with a random base piece glued on along a vertex or an edge."""
+    M = rng.choice(BASE_BUILDERS)()
+    if rng.random() < 0.5:
+        point = standard_cube(0)
+        f = PcsMap(point, K, {(0, ""): rng.choice(K.cells(0))})
+        g = PcsMap(point, M, {(0, ""): rng.choice(M.cells(0))})
+    else:
+        edge = standard_cube(1)
+        eK = rng.choice(K.cells(1))
+        eM = rng.choice(M.cells(1))
+        sK, tK = _edge_ends(K, eK)
+        sM, tM = _edge_ends(M, eM)
+        f = PcsMap(edge, K, {(1, "*"): eK, (0, "0"): sK, (0, "1"): tK})
+        g = PcsMap(edge, M, {(1, "*"): eM, (0, "0"): sM, (0, "1"): tM})
+    return pushout(f, g)
 
 
 def corner_routes(K: PrecubicalSet, c: CellId, alpha: int) -> set:
@@ -237,6 +247,56 @@ def brute_flow_count(K: PrecubicalSet, max_len: int) -> int:
         for a in K.cells(0)
         for classes in brute_path_classes(K, a, max_len).values()
     )
+
+
+# 2^31 - 1 and 10^9 + 7: residues below 2^31, so products fit in int64
+LARGE_PRIMES = (2147483647, 1000000007)
+
+
+def rank_mod(matrix, p: int) -> int:
+    """Rank over Z/p of an integer matrix, by dense row reduction in numpy."""
+    M = np.array(matrix, dtype=np.int64).reshape(len(matrix), -1) % p
+    rank = 0
+    for c in range(M.shape[1]):
+        nonzero = np.flatnonzero(M[rank:, c])
+        if not len(nonzero):
+            continue
+        r = rank + nonzero[0]
+        M[[rank, r]] = M[[r, rank]]
+        M[rank] = M[rank] * pow(int(M[rank, c]), p - 2, p) % p
+        below = rank + 1 + np.flatnonzero(M[rank + 1:, c])
+        M[below] = (M[below] - np.outer(M[below, c], M[rank])) % p
+        rank += 1
+        if rank == M.shape[0]:
+            break
+    return rank
+
+
+def modp_homology(K: PrecubicalSet) -> tuple:
+    """Betti numbers and, per degree, the number of torsion summands of even
+    order, from ranks of the boundaries over Z/p alone.
+
+    The boundaries are filled from face_map by d(c) = sum over i of
+    (-1)^i (d[i,1]c - d[i,0]c).  The rank over Q is the larger of the ranks
+    mod two large primes, and a boundary has as many invariant factors
+    prime to 2 as its rank mod 2.  So b_n = c_n - rank d_n - rank d_{n+1},
+    and H_n has rank d_{n+1} minus its rank mod 2 summands of even order.
+    """
+    index = {d: {label: k for k, label in enumerate(K.cells(d))} for d in range(K.top_dim + 1)}
+    boundary = {d: [[0] * len(index[d]) for _ in index[d - 1]] for d in range(1, K.top_dim + 1)}
+    for (d, i, alpha, cell), value in K.face_map.items():
+        boundary[d][index[d - 1][value]][index[d][cell]] += (-1) ** i * (1 if alpha else -1)
+
+    def ranks(d):
+        if d not in boundary or not index[d] or not index[d - 1]:
+            return 0, 0
+        return (max(rank_mod(boundary[d], p) for p in LARGE_PRIMES),
+                rank_mod(boundary[d], 2))
+
+    rank = {d: ranks(d) for d in range(K.top_dim + 2)}
+    betti = tuple(len(index[d]) - rank[d][0] - rank[d + 1][0] for d in range(K.top_dim + 1))
+    even = tuple(rank[d + 1][0] - rank[d + 1][1] for d in range(K.top_dim + 1))
+    return betti, even
 
 
 def matmul(A, B) -> list:

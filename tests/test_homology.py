@@ -9,13 +9,16 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from precubical import (
+    PcsMap,
     PrecubicalSet,
     boundary_cube,
     chain_complex,
     circle,
+    disjoint_union,
     euler_characteristic,
     homology,
     interval,
+    pushout,
     smith_normal_form,
     standard_cube,
     tensor,
@@ -23,13 +26,14 @@ from precubical import (
     validate,
 )
 
-from precubical.homology import ChainComplex, _boundary_factors, _split_pivots
+from precubical.homology import ChainComplex, _boundary_factors, _coreduce, _split_pivots
 
 from conftest import (
     CORPUS,
     is_zero,
     klein_bottle,
     matmul,
+    modp_homology,
     random_glued_complex,
     wedge_of_circles,
 )
@@ -433,6 +437,121 @@ def groups(K) -> list:
 KLEIN = [(1, []), (1, [2]), (0, [])]
 CIRCLE = [(1, []), (1, [])]
 SPHERE3 = [(1, []), (0, []), (0, []), (1, [])]
+
+
+def cells_left(K) -> int:
+    """Cells that coreduction leaves for the split."""
+    return sum(map(len, _coreduce(chain_complex(K))[0].basis.values()))
+
+
+def vertex_wedge(X, Y):
+    """X and Y glued at their first vertices."""
+    point = standard_cube(0)
+    return pushout(PcsMap(point, X, {(0, ""): X.cells(0)[0]}),
+                   PcsMap(point, Y, {(0, ""): Y.cells(0)[0]}))
+
+
+def wedge_of_loops(k):
+    return PrecubicalSet({0: ["v"], 1: [f"a{j}" for j in range(k)]},
+                         {(1, 1, alpha, f"a{j}"): "v" for j in range(k) for alpha in (0, 1)})
+
+
+class TestCoreduction:
+    @pytest.mark.parametrize("n", range(8))
+    def test_cubes_and_hollow_cubes_leave_at_most_one_cell(self, n):
+        assert cells_left(standard_cube(n)) == 0
+        assert cells_left(boundary_cube(n)) == (n > 1)
+
+    def test_components_and_isolated_vertices(self):
+        points = PrecubicalSet({0: ["a", "b", "c"]})
+        edge_and_point = PrecubicalSet({0: ["a", "b", "c"], 1: ["e"]},
+                                       {(1, 1, 0, "e"): "a", (1, 1, 1, "e"): "b"})
+        three = disjoint_union(disjoint_union(circle(), standard_cube(2)), boundary_cube(3))
+        for K, components in ((points, 3), (edge_and_point, 2), (three, 3),
+                              (disjoint_union(klein_bottle(), klein_bottle()), 2)):
+            reduced, removed = _coreduce(chain_complex(K))
+            assert removed == components
+            assert reduced.rank_of_chains(0) == 0
+            result = homology(K)
+            assert result.betti[0] == components
+            assert (result.betti, result.torsion) == oracle_homology(K)
+
+    def test_a_two_is_never_paired(self):
+        # vertices v and w, loops a and b, an edge e from v to w; d(t) = b
+        # and d(s) = 2a + b.  Pairing (w, e) and then (b, t) leaves s with
+        # the one live face a, at coefficient 2
+        complex_ = ChainComplex({0: ["v", "w"], 1: ["a", "b", "e"], 2: ["s", "t"]},
+                                {1: [{2: -1}, {2: 1}], 2: [{0: 2}, {0: 1, 1: 1}, {}]})
+        reduced, components = _coreduce(complex_)
+        assert components == 1
+        assert reduced.basis == {0: (), 1: ("a",), 2: ("s",)}
+        assert reduced.rows(2) == [{0: 2}]
+        assert _boundary_factors(reduced) == {2: (2,), 1: ()}
+
+    def test_klein_bottle_and_its_square_keep_their_twos(self):
+        for K, left in ((klein_bottle(), 3), (klein_power(2), 15)):
+            assert cells_left(K) == left
+            result = homology(K)
+            assert (result.betti, result.torsion) == oracle_homology(K)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_wedge_of_loops(self, k):
+        K = wedge_of_loops(k)
+        assert cells_left(K) == k
+        assert homology(K).betti == (1, k)
+
+    def test_empty_complex(self):
+        reduced, components = _coreduce(chain_complex(boundary_cube(0)))
+        assert (reduced.basis, components) == ({}, 0)
+        assert homology(boundary_cube(0)) == homology(PrecubicalSet({}))
+
+    def test_random_gluings_against_sympy(self):
+        rng = random.Random(1505)
+        for _ in range(40):
+            K = random_glued_complex(rng)
+            reduced, _ = _coreduce(chain_complex(K))
+            # the quotient by the removed cells is a chain complex
+            for d in range(1, reduced.top_dim):
+                assert is_zero(matmul(reduced.matrix(d), reduced.matrix(d + 1)))
+            result = homology(K)
+            assert (result.betti, result.torsion) == oracle_homology(K)
+
+
+def even_torsion(result) -> tuple:
+    return tuple(sum(f % 2 == 0 for f in t) for t in result.torsion)
+
+
+class TestModPOracle:
+    """homology at full size against ranks mod primes (conftest.modp_homology)."""
+
+    def test_oracle_by_hand(self):
+        assert modp_homology(klein_bottle()) == ((1, 1, 0), (0, 1, 0))
+        assert modp_homology(boundary_cube(3)) == ((1, 0, 1), (0, 0, 0))
+        assert modp_homology(boundary_cube(0)) == ((), ())
+
+    def test_corpus(self, corpus_complex):
+        _, K = corpus_complex
+        result = homology(K)
+        assert (result.betti, even_torsion(result)) == modp_homology(K)
+
+    def test_large_gluings(self):
+        rng = random.Random(1506)
+        for _ in range(20):
+            K = random_glued_complex(rng, min_cells=150)
+            assert sum(K.cell_counts()) > 150
+            result = homology(K)
+            assert (result.betti, even_torsion(result)) == modp_homology(K)
+
+    @pytest.mark.parametrize("build", [
+        lambda: klein_power(3), lambda: klein_power(4), lambda: klein_power(5),
+        lambda: boundary_cube(6),
+        lambda: tensor(boundary_cube(3), boundary_cube(3)),
+        lambda: vertex_wedge(klein_power(4), tensor(boundary_cube(2), boundary_cube(3))),
+    ], ids=["klein3", "klein4", "klein5", "boundary6", "spheres2x2", "wedge"])
+    def test_full_size(self, build):
+        K = build()
+        result = homology(K)
+        assert (result.betti, even_torsion(result)) == modp_homology(K)
 
 
 class TestTorsion:
