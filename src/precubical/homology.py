@@ -362,7 +362,11 @@ def _coreduce(complex_: ChainComplex) -> tuple[ChainComplex, int]:
                     drain()
     basis, boundary = {}, {}
     for d in range(top + 1):
-        basis[d] = tuple(compress(complex_.basis[d], live[d]))
+        # a list: tuple(compress(...)) resizes the tuple as it grows, which
+        # fragmented the heap enough to raise peak RSS over repeated calls
+        labels = complex_.basis[d]
+        basis[d] = labels if all(live[d]) else [
+            label for label, alive in zip(labels, live[d]) if alive]
     for d in range(1, top + 1):
         rows, lo, hi = complex_.rows(d), live[d - 1], live[d]
         if len(basis[d]) < len(hi):
