@@ -16,12 +16,7 @@ from .core import (
     Violation,
     apply_cube_map,
     boundary_cube,
-    cube_category,
-    cube_words,
     disjoint_union,
-    empty_map,
-    find_isomorphism,
-    isomorphic,
     pushout,
     skeleton,
     standard_cube,
@@ -37,7 +32,6 @@ from .flow import (
     count_flow_morphisms,
     edge_path,
     enumerate_path_classes,
-    map_path,
     path_equal,
     realize_states,
     staircase,
@@ -54,7 +48,6 @@ from .homology import (
 from .globular import (
     FlowAtom,
     GlobularDecomposition,
-    decomposition_report,
     globular_decomposition,
 )
 from .document import (
@@ -72,16 +65,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellId", "CubeWord", "PcsMap", "PrecubicalSet", "Violation",
-    "apply_cube_map", "boundary_cube", "cube_category", "cube_words",
-    "disjoint_union", "empty_map", "find_isomorphism", "isomorphic", "pushout",
+    "apply_cube_map", "boundary_cube", "disjoint_union", "pushout",
     "skeleton", "standard_cube", "tensor", "validate",
     "EdgePath", "LoopReport", "PathClass", "StatePoset",
     "corner", "count_flow_morphisms", "edge_path", "enumerate_path_classes",
-    "map_path", "path_equal", "realize_states", "staircase", "state_order",
+    "path_equal", "realize_states", "staircase", "state_order",
     "ChainComplex", "HomologyResult", "chain_complex", "euler_characteristic",
     "homology", "smith_normal_form",
-    "FlowAtom", "GlobularDecomposition", "decomposition_report",
-    "globular_decomposition",
+    "FlowAtom", "GlobularDecomposition", "globular_decomposition",
     "FormatError", "circle", "cylinder", "generate", "interval",
     "parse", "serialize", "torus",
 ]

@@ -302,10 +302,15 @@ class PrecubicalSet:
     def face(self, cell: CellId, i: int, alpha: int) -> CellId:
         """d[i, alpha] of the cell, as a CellId of dimension cell.dim - 1.
 
-        Raises ValueError naming the cell when it is undeclared or when the
-        face entry is missing or points at an undeclared cell.
+        Raises ValueError naming the cell when it is undeclared, the index
+        or sign when no cell of that dimension has such a face, and the cell
+        when the face entry is missing or points at an undeclared cell.
         """
         _require_cell(self, cell)
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= cell.dim:
+            raise ValueError(f"face index {i!r} out of range 1..{cell.dim}")
+        if alpha not in (0, 1) or isinstance(alpha, bool):
+            raise ValueError(f"face sign must be 0 or 1: {alpha!r}")
         value, problem = _face_entry(self, cell.dim, cell.label, i, alpha)
         if value is None:
             raise ValueError(problem)
@@ -512,12 +517,6 @@ def _require_valid(K: PrecubicalSet) -> None:
                          else _face_entry(K, v.dim, v.cell, v.i, v.alpha)[1])
 
 
-def cube_words(n: int):
-    """All length-n words over {0, 1, *}, in lexicographic order of 0 < 1 < *."""
-    for letters in itertools.product(LETTERS, repeat=n):
-        yield "".join(letters)
-
-
 def standard_cube(n: int) -> PrecubicalSet:
     """The standard n-cube: k-cells are the length-n words with k stars."""
     if n < 0:
@@ -594,22 +593,6 @@ def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
         label = K._rows[dim][label][2 * pos + int(letters[pos])]
         dim -= 1
         letters = letters[:pos] + letters[pos + 1 :]
-
-
-def cube_category(K: PrecubicalSet) -> tuple[tuple[CellId, CellId, CubeWord], ...]:
-    """The category of cubes of a finite valid K, as its sorted arrows.
-
-    The objects are the cells of K.  An arrow (source, target, w) satisfies
-    apply_cube_map(K, target, w) == source; the identities are the arrows
-    whose word is_identity, and arrows compose by word substitution.
-    """
-    arrows = [
-        (apply_cube_map(K, target, word), target, CubeWord(word))
-        for target in K.all_cells()
-        for word in cube_words(target.dim)
-    ]
-    return tuple(sorted(arrows, key=lambda a: (a[0].dim, a[0].label, a[1].dim, a[1].label,
-                                               a[2].letters)))
 
 
 class PcsMap:
@@ -752,14 +735,9 @@ def pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
     return PrecubicalSet._adopt(rows, rows, True)
 
 
-def empty_map(K: PrecubicalSet) -> PcsMap:
-    """The unique morphism from the empty precubical set into K."""
-    return PcsMap(_empty(), K, {})
-
-
 def disjoint_union(K: PrecubicalSet, M: PrecubicalSet) -> PrecubicalSet:
     """Coproduct, as the pushout over the empty precubical set."""
-    return pushout(empty_map(K), empty_map(M))
+    return pushout(PcsMap(_empty(), K, {}), PcsMap(_empty(), M, {}))
 
 
 def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
@@ -801,101 +779,3 @@ def _escape_labels(K: PrecubicalSet) -> PrecubicalSet:
         {dim: {escape(label): tuple(map(escape, row)) for label, row in table.items()}
          for dim, table in K._rows.items()},
         K._valid)
-
-
-def find_isomorphism(K: PrecubicalSet, L: PrecubicalSet):
-    """Search for an isomorphism K -> L; returns a (dim, label) -> label map
-    or None.
-
-    Backtracking over cells in decreasing dimension, without recursion:
-    choosing an image for a cell forces the images of all its iterated
-    faces, so complexes whose cells hang together are matched almost
-    without search.
-    """
-    if K.cell_counts() != L.cell_counts():
-        return None
-
-    order = sorted(K.all_cells(), key=lambda c: (-c.dim, c.label))
-    assignment: dict[tuple[int, str], str] = {}
-    used: dict[int, set[str]] = {}
-
-    def propagate(cell: CellId, image: str, trail: list) -> bool:
-        stack = [(cell, image)]
-        while stack:
-            c, im = stack.pop()
-            key = (c.dim, c.label)
-            existing = assignment.get(key)
-            if existing is not None:
-                if existing != im:
-                    return False
-                continue
-            if im in used.setdefault(c.dim, set()):
-                return False
-            assignment[key] = im
-            used[c.dim].add(im)
-            trail.append(key)
-            krow, lrow = _face_rows(K, c.dim)[c.label], _face_rows(L, c.dim)[im]
-            if [f is None for f in krow] != [f is None for f in lrow]:
-                return False
-            # a face that is not a declared cell is never followed: the
-            # defects check below rejects it
-            kbelow, lbelow = _face_rows(K, c.dim - 1), _face_rows(L, c.dim - 1)
-            stack.extend((CellId(c.dim - 1, kf), lf)
-                         for kf, lf in zip(krow, lrow) if kf in kbelow and lf in lbelow)
-        return True
-
-    def undo(trail: list):
-        while trail:
-            key = trail.pop()
-            used[key[0]].discard(assignment.pop(key))
-
-    # depth-first search over an explicit stack of (index, candidates, trail)
-    # frames, one per cell whose image is chosen rather than forced; a frame
-    # met again after a dead end undoes its last choice and tries the next.
-    # The L labels before a frame's scan start were all taken when it was
-    # pushed and stay taken while it lives, so the next frame of the same
-    # dimension scans on from there instead of from the first label.
-    stack: list = []
-    starts: dict[int, list[int]] = {}
-    index = 0
-    while index < len(order):
-        cell = order[index]
-        if (cell.dim, cell.label) in assignment:
-            index += 1
-            continue
-        labels = L.cells(cell.dim)
-        taken = used.setdefault(cell.dim, set())
-        live = starts.setdefault(cell.dim, [])
-        start = live[-1] if live else 0
-        while start < len(labels) and labels[start] in taken:
-            start += 1
-        live.append(start)
-        stack.append((index, map(labels.__getitem__, range(start, len(labels))), []))
-        while stack:
-            index, candidates, trail = stack[-1]
-            cell = order[index]
-            undo(trail)
-            for candidate in candidates:
-                if candidate in used[cell.dim]:
-                    continue
-                if propagate(cell, candidate, trail):
-                    break
-                undo(trail)
-            else:
-                stack.pop()
-                starts[cell.dim].pop()
-                continue
-            break
-        else:
-            return None
-        index += 1
-
-    iso = PcsMap(K, L, assignment)
-    # propagation guarantees this, but the check is cheap insurance
-    if iso.defects():
-        return None
-    return assignment
-
-
-def isomorphic(K: PrecubicalSet, L: PrecubicalSet) -> bool:
-    return find_isomorphism(K, L) is not None

@@ -488,8 +488,3 @@ def state_order(K: PrecubicalSet):
                 return LoopReport(cycle, loop_states)
     pairs = frozenset((a, b) for a in states for b in above[a])
     return StatePoset(tuple(states), pairs)
-
-
-def map_path(f, p: EdgePath) -> EdgePath:
-    """Push an edge path forward along a precubical morphism."""
-    return edge_path(f.target, tuple(f(CellId(1, e)).label for e in p.edges))

@@ -93,17 +93,3 @@ def globular_decomposition(K: PrecubicalSet) -> GlobularDecomposition:
             stages[dim] = tuple(FlowAtom(CellId(dim, label), low[label], high[label])
                                 for label in K.cells(dim))
     return GlobularDecomposition(K.cells(0), stages)
-
-
-def decomposition_report(K: PrecubicalSet) -> dict:
-    """Census of the decomposition: vertex count, per-stage cell counts,
-    total cell count and the maximum globe dimension (-1 when there are
-    no cells, matching the empty-complex dimension convention)."""
-    decomposition = globular_decomposition(K)
-    stages = {dim: len(cells) for dim, cells in decomposition.stages.items()}
-    return {
-        "vertices": len(decomposition.vertices),
-        "stages": stages,
-        "cells_total": sum(stages.values()),
-        "max_globe_dim": max(stages, default=0) - 1,
-    }

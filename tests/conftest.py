@@ -17,19 +17,23 @@ import pytest
 
 from precubical import (
     CellId,
+    CubeWord,
+    EdgePath,
     PcsMap,
     PrecubicalSet,
+    apply_cube_map,
     boundary_cube,
     circle,
     cylinder,
     disjoint_union,
+    edge_path,
     interval,
     pushout,
     standard_cube,
     torus,
 )
-from precubical.core import (STAR, Violation, _UnionFind, _face_rows, _require_valid, _tabulate,
-                             cube_words)
+from precubical.core import (LETTERS, STAR, Violation, _UnionFind, _face_rows, _require_valid,
+                             _tabulate)
 from precubical.document import FORMAT_VERSION, FormatError, _FACE_FIELDS, _check, _object
 
 
@@ -438,6 +442,131 @@ def outcome(read, data, check):
         return str(exc), exc.violations
     assert_one_cell_table(K)
     return K, K._valid
+
+
+def cube_words(n: int):
+    """All length-n words over {0, 1, *}, in lexicographic order of 0 < 1 < *."""
+    for letters in itertools.product(LETTERS, repeat=n):
+        yield "".join(letters)
+
+
+def cube_category(K: PrecubicalSet) -> tuple[tuple[CellId, CellId, CubeWord], ...]:
+    """The category of cubes of a finite valid K, as its sorted arrows.
+
+    The objects are the cells of K.  An arrow (source, target, w) satisfies
+    apply_cube_map(K, target, w) == source; the identities are the arrows
+    whose word is_identity, and arrows compose by word substitution.
+    """
+    arrows = [
+        (apply_cube_map(K, target, word), target, CubeWord(word))
+        for target in K.all_cells()
+        for word in cube_words(target.dim)
+    ]
+    return tuple(sorted(arrows, key=lambda a: (a[0].dim, a[0].label, a[1].dim, a[1].label,
+                                               a[2].letters)))
+
+
+def find_isomorphism(K: PrecubicalSet, L: PrecubicalSet):
+    """Search for an isomorphism K -> L; returns a (dim, label) -> label map
+    or None.
+
+    Backtracking over cells in decreasing dimension, without recursion:
+    choosing an image for a cell forces the images of all its iterated
+    faces, so complexes whose cells hang together are matched almost
+    without search.
+    """
+    if K.cell_counts() != L.cell_counts():
+        return None
+
+    order = sorted(K.all_cells(), key=lambda c: (-c.dim, c.label))
+    assignment: dict[tuple[int, str], str] = {}
+    used: dict[int, set[str]] = {}
+
+    def propagate(cell: CellId, image: str, trail: list) -> bool:
+        stack = [(cell, image)]
+        while stack:
+            c, im = stack.pop()
+            key = (c.dim, c.label)
+            existing = assignment.get(key)
+            if existing is not None:
+                if existing != im:
+                    return False
+                continue
+            if im in used.setdefault(c.dim, set()):
+                return False
+            assignment[key] = im
+            used[c.dim].add(im)
+            trail.append(key)
+            krow, lrow = _face_rows(K, c.dim)[c.label], _face_rows(L, c.dim)[im]
+            if [f is None for f in krow] != [f is None for f in lrow]:
+                return False
+            # a face that is not a declared cell is never followed: the
+            # defects check below rejects it
+            kbelow, lbelow = _face_rows(K, c.dim - 1), _face_rows(L, c.dim - 1)
+            stack.extend((CellId(c.dim - 1, kf), lf)
+                         for kf, lf in zip(krow, lrow) if kf in kbelow and lf in lbelow)
+        return True
+
+    def undo(trail: list):
+        while trail:
+            key = trail.pop()
+            used[key[0]].discard(assignment.pop(key))
+
+    # depth-first search over an explicit stack of (index, candidates, trail)
+    # frames, one per cell whose image is chosen rather than forced; a frame
+    # met again after a dead end undoes its last choice and tries the next.
+    # The L labels before a frame's scan start were all taken when it was
+    # pushed and stay taken while it lives, so the next frame of the same
+    # dimension scans on from there instead of from the first label.
+    stack: list = []
+    starts: dict[int, list[int]] = {}
+    index = 0
+    while index < len(order):
+        cell = order[index]
+        if (cell.dim, cell.label) in assignment:
+            index += 1
+            continue
+        labels = L.cells(cell.dim)
+        taken = used.setdefault(cell.dim, set())
+        live = starts.setdefault(cell.dim, [])
+        start = live[-1] if live else 0
+        while start < len(labels) and labels[start] in taken:
+            start += 1
+        live.append(start)
+        stack.append((index, map(labels.__getitem__, range(start, len(labels))), []))
+        while stack:
+            index, candidates, trail = stack[-1]
+            cell = order[index]
+            undo(trail)
+            for candidate in candidates:
+                if candidate in used[cell.dim]:
+                    continue
+                if propagate(cell, candidate, trail):
+                    break
+                undo(trail)
+            else:
+                stack.pop()
+                starts[cell.dim].pop()
+                continue
+            break
+        else:
+            return None
+        index += 1
+
+    iso = PcsMap(K, L, assignment)
+    # propagation guarantees this, but the check is cheap insurance
+    if iso.defects():
+        return None
+    return assignment
+
+
+def isomorphic(K: PrecubicalSet, L: PrecubicalSet) -> bool:
+    return find_isomorphism(K, L) is not None
+
+
+def map_path(f, p: EdgePath) -> EdgePath:
+    """Push an edge path forward along a precubical morphism."""
+    return edge_path(f.target, tuple(f(CellId(1, e)).label for e in p.edges))
 
 
 def reference_standard_cube(n: int) -> PrecubicalSet:

@@ -1,4 +1,5 @@
-"""End-to-end acceptance: eight exact combinatorial criteria.
+"""End-to-end acceptance: eight exact combinatorial criteria, and the
+public surface they are stated in.
 
 Each test prints one PASS line on success; a failure shows up as the
 test's FAILED line.  Everything here runs from scratch in well under a
@@ -10,6 +11,9 @@ import json
 import random
 import subprocess
 import sys
+import types
+
+import precubical
 
 from precubical import (
     LoopReport,
@@ -181,3 +185,21 @@ def test_criterion_8_determinism(tmp_path):
         assert len(outputs) == 1, argv
     print("PASS criterion 8: byte-identical round trips and CLI reports "
           "stable across 5 runs")
+
+
+# names only the tests used: five are conftest references now, two are gone
+REMOVED = ("find_isomorphism", "isomorphic", "cube_category", "cube_words", "empty_map",
+           "decomposition_report", "map_path")
+
+
+def test_public_surface_is_all():
+    namespace = {}
+    exec("from precubical import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(precubical.__all__)
+    public = {name for name, value in vars(precubical).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(precubical.__all__)
+    assert [name for name in REMOVED if hasattr(precubical, name)] == []
+    print(f"PASS public surface: import * binds exactly the {len(precubical.__all__)} "
+          "names of __all__")

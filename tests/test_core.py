@@ -13,11 +13,8 @@ from precubical import (
     PrecubicalSet,
     apply_cube_map,
     boundary_cube,
-    cube_category,
     disjoint_union,
-    find_isomorphism,
     interval,
-    isomorphic,
     pushout,
     skeleton,
     standard_cube,
@@ -25,11 +22,11 @@ from precubical import (
     validate,
 )
 
-from conftest import CORPUS, random_glued_complex
+from conftest import CORPUS, cube_category, find_isomorphism, isomorphic, random_glued_complex
 
 
 def brute_words(n, stars=None):
-    # enumerator independent of the library's cube_words
+    # enumerator independent of conftest's cube_words
     for tup in itertools.product("01*", repeat=n):
         word = "".join(tup)
         if stars is None or word.count("*") == stars:
@@ -362,8 +359,12 @@ class TestFace:
         K = self.edge("a")
         with pytest.raises(ValueError, match=r"^cell \(1, 'e'\): face d\[1,1\] is missing$"):
             K.face(CellId(1, "e"), 1, 1)
-        with pytest.raises(ValueError, match=r"^cell \(1, 'e'\): face d\[2,0\] is missing$"):
+        with pytest.raises(ValueError, match=r"^face index 2 out of range 1..1$"):
             K.face(CellId(1, "e"), 2, 0)
+        with pytest.raises(ValueError, match=r"^face index 1 out of range 1..0$"):
+            K.face(CellId(0, "a"), 1, 0)
+        with pytest.raises(ValueError, match=r"^face sign must be 0 or 1: 2$"):
+            K.face(CellId(1, "e"), 1, 2)
 
     def test_dangling_entry_is_named(self):
         K = self.edge("a", "z")
@@ -555,9 +556,7 @@ class TestPushout:
             pushout(bad, PcsMap.identity(edge))
 
     def test_mismatched_feet_rejected(self):
-        from precubical import empty_map
-
-        f = empty_map(standard_cube(1))
+        f = PcsMap(boundary_cube(0), standard_cube(1), {})
         g = PcsMap(standard_cube(0), standard_cube(1), {(0, ""): "0"})
         with pytest.raises(ValueError, match="same source"):
             pushout(f, g)

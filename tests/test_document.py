@@ -1,5 +1,6 @@
 """Document format: canonical serialization, parsing, named generators."""
 
+import ast
 import copy
 import json
 import os
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,6 @@ from precubical import (
     cylinder,
     generate,
     interval,
-    isomorphic,
     parse,
     serialize,
     skeleton,
@@ -31,7 +32,7 @@ from precubical import (
 )
 from precubical import document
 
-from conftest import glued_circle, outcome, parse_records, reference_text
+from conftest import glued_circle, isomorphic, outcome, parse_records, reference_text
 
 
 class TestRoundTrip:
@@ -842,10 +843,41 @@ def test_tall_cell_without_faces_serializes_in_bounded_memory():
     assert peak < 4_000_000
 
 
-def test_readme_example_is_the_circle_document():
-    from pathlib import Path
+README = Path(__file__).resolve().parent.parent / "README.md"
 
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+def test_readme_example_is_the_circle_document():
+    readme = README.read_text(encoding="utf-8")
     section = readme.split("## Document format", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     assert example == serialize(circle())
+
+
+def leading_literal(text: str):
+    """The value of the shortest start of text that is a Python literal:
+    the value a README comment gives before its prose."""
+    for end in range(1, len(text) + 1):
+        try:
+            return ast.literal_eval(text[:end])
+        except (SyntaxError, ValueError):
+            continue
+    raise ValueError(f"no literal at the start of {text!r}")
+
+
+def test_readme_library_tour_gives_the_commented_values():
+    readme = README.read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = tour.splitlines()
+    namespace = {}
+    checked = []
+    for node in ast.parse(tour).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        comment = lines[node.end_lineno - 1][node.end_col_offset:].strip()
+        assert comment.startswith("# "), ast.unparse(node)
+        expected = leading_literal(comment[2:])
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        assert value == expected, ast.unparse(node)
+        checked.append(expected)
+    assert checked == [[], (1, 6), ("*00", "1*0", "11*"), True, (1, 0, 1)]

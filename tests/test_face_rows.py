@@ -14,7 +14,6 @@ from precubical import (
     PrecubicalSet,
     apply_cube_map,
     boundary_cube,
-    isomorphic,
     pushout,
     serialize,
     standard_cube,
@@ -23,7 +22,7 @@ from precubical import (
 )
 from precubical.core import _face_rows, _routes
 
-from conftest import (BASE_BUILDERS, _edge_ends, klein_bottle, reference_pushout,
+from conftest import (BASE_BUILDERS, _edge_ends, isomorphic, klein_bottle, reference_pushout,
                       reference_standard_cube, reference_validate)
 
 

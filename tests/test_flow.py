@@ -24,7 +24,6 @@ from precubical import (
     edge_path,
     enumerate_path_classes,
     globular_decomposition,
-    map_path,
     path_equal,
     pushout,
     realize_states,
@@ -42,8 +41,10 @@ from conftest import (
     corner_routes,
     flow_word_count,
     klein_bottle,
+    map_path,
     product_order_pairs,
     random_glued_complex,
+    wedge_of_circles,
 )
 
 
@@ -652,3 +653,98 @@ class TestFunctoriality:
                             assert path_equal(P, mp, mq)
                             checked += 1
         assert checked > 0
+
+
+def classes_by_length(K, a, b, max_len):
+    """c(a, b, n) for n = 0..max_len: the number of path classes of each
+    length from a to b, with the empty path counted at length 0."""
+    counts = [int(a == b)] + [0] * max_len
+    for c in enumerate_path_classes(K, a, b, max_len):
+        counts[c.length] += 1
+    return counts
+
+
+def commutation_complex(letters, pairs) -> PrecubicalSet:
+    """One vertex v, one loop per letter, and for each commuting pair ab a
+    square s with d[2,0]s = d[2,1]s = a and d[1,0]s = d[1,1]s = b."""
+    faces = {(1, 1, alpha, x): "v" for x in letters for alpha in (0, 1)}
+    for a, b in pairs:
+        faces.update({(2, 2, 0, a + b): a, (2, 2, 1, a + b): a,
+                      (2, 1, 0, a + b): b, (2, 1, 1, a + b): b})
+    return PrecubicalSet({0: ["v"], 1: list(letters), 2: list(pairs)}, faces)
+
+
+def cartier_foata_counts(K, max_len):
+    """c_0..c_max_len for a one-vertex K whose squares are all commutations:
+    c_0 = 1 and c_n = sum over r >= 1 of (-1)^(r+1) mu_r c_(n-r), mu_r the
+    number of r-cliques of the graph that joins the two loops of each square
+    (Cartier and Foata, LNM 85, 1969).  Read from the face table alone."""
+    independent = set()
+    for s in K.cells(2):
+        a, b = K.face_label(2, s, 2, 0), K.face_label(2, s, 1, 0)
+        assert (a, b) == (K.face_label(2, s, 2, 1), K.face_label(2, s, 1, 1)) and a != b, s
+        independent.add(frozenset((a, b)))
+    letters = K.cells(1)
+    mu = [sum(all(frozenset(pair) in independent for pair in itertools.combinations(clique, 2))
+              for clique in itertools.combinations(letters, r))
+          for r in range(len(letters) + 1)]
+    counts = [1]
+    for n in range(1, max_len + 1):
+        counts.append(sum((-1) ** (r + 1) * mu[r] * counts[n - r]
+                          for r in range(1, min(n, len(letters)) + 1)))
+    return counts
+
+
+class TestClosedForms:
+    """Path-class counts against closed forms that share no code with the
+    class pass."""
+
+    @pytest.mark.parametrize("name, K", [
+        ("torus3", torus(3)),
+        ("torus4", torus(4)),
+        ("path-abc", commutation_complex("abc", ["ab", "bc"])),
+        ("cycle4", commutation_complex("abcd", ["ab", "bc", "cd", "da"])),
+        ("star4", commutation_complex("oabcd", ["oa", "ob", "oc", "od"])),
+    ])
+    def test_cartier_foata(self, name, K):
+        # every square is a commutation of two loops at the one vertex, so
+        # the classes are the traces of the independence graph; cubes of
+        # dimension 3 and up add no relation
+        n = 6
+        (v,) = K.cells(0)
+        expected = cartier_foata_counts(K, n)
+        assert classes_by_length(K, v, v, n) == expected
+        assert count_flow_morphisms(K, n) == sum(expected[1:])
+
+    def test_cartier_foata_recurrence(self):
+        # all d loops of torus(d) commute, so a trace is a multiset of
+        # letters; the path a-b-c reaches lengths no class pass can
+        for d in (3, 4):
+            assert cartier_foata_counts(torus(d), 6) == [math.comb(n + d - 1, d - 1)
+                                                          for n in range(7)]
+        path = commutation_complex("abc", ["ab", "bc"])
+        assert sum(cartier_foata_counts(path, 40)[1:]) == 4_398_046_511_060
+
+    FACTORS = {
+        "circle": circle(),
+        "wedge": wedge_of_circles(),
+        "boundary3": boundary_cube(3),
+        "square": standard_cube(2),
+        "glued1": random_glued_complex(random.Random(1)),
+        "glued2": random_glued_complex(random.Random(2)),
+    }
+
+    @pytest.mark.parametrize("left, right", itertools.combinations(FACTORS, 2))
+    def test_product_law(self, left, right):
+        # the trace space of a product is the product of the trace spaces:
+        # a class of K (x) L of length n is a pair of classes of lengths
+        # i + j = n, one in each factor
+        n = 4
+        K, L = self.FACTORS[left], self.FACTORS[right]
+        counts_K = {(a, x): classes_by_length(K, a, x, n) for a in K.cells(0) for x in K.cells(0)}
+        counts_L = {(b, y): classes_by_length(L, b, y, n) for b in L.cells(0) for y in L.cells(0)}
+        P = tensor(K, L)
+        for (a, x), ck in counts_K.items():
+            for (b, y), cl in counts_L.items():
+                expected = [sum(ck[i] * cl[k - i] for i in range(k + 1)) for k in range(n + 1)]
+                assert classes_by_length(P, f"{a}|{b}", f"{x}|{y}", n) == expected, (a, b, x, y)

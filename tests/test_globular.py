@@ -3,7 +3,6 @@
 from precubical import (
     PcsMap,
     boundary_cube,
-    decomposition_report,
     globular_decomposition,
     standard_cube,
     tensor,
@@ -69,20 +68,27 @@ class TestGlobularDecomposition:
 
 
 class TestDecompositionReport:
+    """The census of the stages, read straight off the decomposition."""
+
+    @staticmethod
+    def stage_sizes(decomposition):
+        return {dim: len(cells) for dim, cells in decomposition.stages.items()}
+
     def test_cube3(self):
-        report = decomposition_report(standard_cube(3))
-        assert report["vertices"] == 8
-        assert report["stages"] == {1: 12, 2: 6, 3: 1}
-        assert report["cells_total"] == 19
-        assert report["max_globe_dim"] == 2
+        decomposition = globular_decomposition(standard_cube(3))
+        assert len(decomposition.vertices) == 8
+        assert self.stage_sizes(decomposition) == {1: 12, 2: 6, 3: 1}
+        assert len(decomposition.cells()) == 19
+        assert max(cell.globe_dim for cell in decomposition.cells()) == 2
 
     def test_empty(self):
-        report = decomposition_report(boundary_cube(0))
-        assert report["vertices"] == 0
-        assert report["stages"] == {}
-        assert report["cells_total"] == 0
-        assert report["max_globe_dim"] == -1
+        decomposition = globular_decomposition(boundary_cube(0))
+        assert decomposition.vertices == ()
+        assert decomposition.stages == {}
+        assert decomposition.cells() == ()
 
     def test_tensor_square_reports_like_the_square(self):
-        T = tensor(standard_cube(1), standard_cube(1))
-        assert decomposition_report(T) == decomposition_report(standard_cube(2))
+        T = globular_decomposition(tensor(standard_cube(1), standard_cube(1)))
+        S = globular_decomposition(standard_cube(2))
+        assert len(T.vertices) == len(S.vertices)
+        assert self.stage_sizes(T) == self.stage_sizes(S)

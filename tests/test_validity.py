@@ -21,14 +21,12 @@ from precubical import (
     circle,
     corner,
     count_flow_morphisms,
-    cube_category,
     disjoint_union,
     enumerate_path_classes,
     generate,
     globular_decomposition,
     homology,
     interval,
-    isomorphic,
     parse,
     path_equal,
     pushout,
@@ -42,7 +40,8 @@ from precubical import (
     validate,
 )
 from precubical import core
-from conftest import assert_one_cell_table, klein_bottle, random_glued_complex
+from conftest import (assert_one_cell_table, cube_category, isomorphic, klein_bottle,
+                      random_glued_complex)
 
 
 def corrupted_cube() -> PrecubicalSet:
@@ -205,13 +204,13 @@ def test_adopt_rejects_a_repeated_label():
 # empty complex on the side given on the command line.
 BROKEN_FOOT = """
 import sys
-from precubical import PrecubicalSet, empty_map, pushout, standard_cube
+from precubical import PcsMap, PrecubicalSet, boundary_cube, pushout, standard_cube
 
 broken = PrecubicalSet({0: ["a", "b"], 1: ["e"]}, {(1, 1, 0, "e"): "a"})
 point = standard_cube(0)
 feet = (broken, point) if sys.argv[1] == "left" else (point, broken)
 try:
-    pushout(empty_map(feet[0]), empty_map(feet[1]))
+    pushout(PcsMap(boundary_cube(0), feet[0], {}), PcsMap(boundary_cube(0), feet[1], {}))
 except ValueError as exc:
     print(f"{type(exc).__name__}: {exc}")
 """
