@@ -293,9 +293,11 @@ class PrecubicalSet:
         return label in _face_rows(self, dim)
 
     def face_label(self, dim: int, label: str, i: int, alpha: int) -> str | None:
-        """Label of d[i, alpha] of the cell, or None if the entry is absent."""
+        """Label of d[i, alpha] of the cell, or None if the entry is absent;
+        an index or sign that is not an int exactly, such as 1.0 or True,
+        names no entry."""
         row = _face_rows(self, dim).get(label)
-        if row is None or not 1 <= i <= dim or alpha not in (0, 1):
+        if row is None or i.__class__ is not int or not 1 <= i <= dim or not _is_sign(alpha):
             return None
         return row[2 * i - 2 + alpha]
 
@@ -307,9 +309,9 @@ class PrecubicalSet:
         when the face entry is missing or points at an undeclared cell.
         """
         _require_cell(self, cell)
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= cell.dim:
+        if i.__class__ is not int or not 1 <= i <= cell.dim:
             raise ValueError(f"face index {i!r} out of range 1..{cell.dim}")
-        if alpha not in (0, 1) or isinstance(alpha, bool):
+        if not _is_sign(alpha):
             raise ValueError(f"face sign must be 0 or 1: {alpha!r}")
         value, problem = _face_entry(self, cell.dim, cell.label, i, alpha)
         if value is None:
@@ -357,9 +359,9 @@ def _tabulate(cells, entries) -> tuple[dict, dict]:
     for (dim, i, alpha, label), value in entries:
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ValueError(f"face dimension must be an int >= 1: {dim!r}")
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= dim:
+        if i.__class__ is not int or not 1 <= i <= dim:
             raise ValueError(f"face index {i!r} out of range 1..{dim}")
-        if alpha not in (0, 1) or isinstance(alpha, bool):
+        if not _is_sign(alpha):
             raise ValueError(f"face sign must be 0 or 1: {alpha!r}")
         row = rows.get(dim, {}).get(label)
         if row is None:
@@ -375,6 +377,12 @@ def _tabulate(cells, entries) -> tuple[dict, dict]:
         get = {label: label for label in checked.get(dim - 1, ())}.get
         rows[dim] = {label: tuple(map(get, row, row)) for label, row in table.items()}
     return checked, rows
+
+
+def _is_sign(alpha) -> bool:
+    """Whether alpha is a face sign: the int 0 or 1 exactly.  False, True,
+    0.0 and 1.0 compare equal to those, but name no face slot."""
+    return alpha.__class__ is int and 0 <= alpha <= 1
 
 
 def _require_distinct(cells, rows) -> None:

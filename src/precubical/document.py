@@ -45,8 +45,8 @@ layout read looks for it, so a text with a repeated key or a line out of
 place is never kept, and since parse(serialize(K)) == K, a kept text
 gives what the hooked read would.  Every other document is read with the
 hook, so a repeated key is reported before anything else, and then goes
-through the shape checks, whole columns at a time, and the constructor's
-structural checks.
+through the shape checks, one face record at a time, and the
+constructor's structural checks.
 """
 
 from __future__ import annotations
@@ -276,32 +276,21 @@ def _shape(tree) -> tuple[dict, list, object]:
             raise FormatError(f"cell label is not a string: {label!r}")
         cells[dim] = labels
 
-    # the fields are read and type-checked as whole columns: a record of
-    # five keys from which every field can be read has exactly those.  The
-    # loop below runs only when that fails, to name the first bad record.
-    records, columns = tree["faces"], None
-    if set(map(type, records)) <= {dict} and set(map(len, records)) <= {len(_FACE_FIELDS)}:
-        try:
-            columns = [list(map(itemgetter(field), records)) for field in _FACE_FIELDS]
-        except KeyError:
-            pass
-    if columns is None or not all(set(map(type, column)) <= {kind}
-                                  for column, kind in zip(columns, _FACE_FIELDS.values())):
-        for record in records:
-            if not isinstance(record, dict):
-                raise FormatError(f"face record must be an object: {record!r}")
-            if record.keys() != _FACE_FIELDS.keys():
-                raise FormatError(
-                    f"face record must have exactly the keys dim, i, alpha, cell, value: {record!r}"
-                )
-            # json.loads yields exact int and str objects, so the type
-            # tests below reject bools and floats
-            for field in ("dim", "i", "alpha"):
-                if type(record[field]) is not int:
-                    raise FormatError(f"face field {field!r} must be an integer: {record!r}")
-            for field in ("cell", "value"):
-                if type(record[field]) is not str:
-                    raise FormatError(f"face field {field!r} must be a string: {record!r}")
+    records = tree["faces"]
+    for record in records:
+        if not isinstance(record, dict):
+            raise FormatError(f"face record must be an object: {record!r}")
+        if record.keys() != _FACE_FIELDS.keys():
+            raise FormatError(
+                f"face record must have exactly the keys dim, i, alpha, cell, value: {record!r}"
+            )
+        # json.loads yields exact int and str objects, so the type test
+        # below rejects bools and floats
+        for field, kind in _FACE_FIELDS.items():
+            if type(record[field]) is not kind:
+                noun = "an integer" if kind is int else "a string"
+                raise FormatError(f"face field {field!r} must be {noun}: {record!r}")
+    columns = [list(map(itemgetter(field), records)) for field in _FACE_FIELDS]
     return cells, columns, tree["top_dim"]
 
 

@@ -36,8 +36,8 @@ globular.globular_decomposition.
 
 from __future__ import annotations
 
-from .core import (CellId, PrecubicalSet, _UnionFind, _Value, _face_rows, _require_cell,
-                   _require_valid, _set, apply_cube_map)
+from .core import (CellId, PrecubicalSet, _UnionFind, _Value, _face_rows, _is_sign,
+                   _require_cell, _require_valid, _set, apply_cube_map)
 
 
 class EdgePath(_Value):
@@ -125,7 +125,7 @@ def corner(K: PrecubicalSet, c: CellId, alpha: int) -> str:
     The cubical relations make the result independent of which face index
     is peeled at each step; index 1 throughout is the canonical route.
     """
-    if alpha not in (0, 1):
+    if not _is_sign(alpha):
         raise ValueError(f"corner sign must be 0 or 1: {alpha!r}")
     _require_cell(K, c)
     _require_valid(K)

@@ -52,6 +52,16 @@ with.  On cubes and hollow cubes at most one cell is left to split; on
 Klein-bottle powers only the vertex goes, and the boundaries above it
 are split as built.
 
+Coreduction only marks cells dead; there is no reduced complex.  The
+split's working copy of each boundary is made straight from the chain
+complex, with the rows of dead cells left empty and the columns of
+cleared cells left out, so every index stays a basis index and the pivot
+rows of one split name the columns of the next.  The columns of dead
+cells are then empty too: a removed b has no live face, and a removed a
+has d(a) = 0 on the cells still live, as above.  Restricting to live
+cells keeps the order of the indices, so sweeps, tie-breaks and the
+remainder step choose as they would on the quotient written out.
+
 Bases are ordered lexicographically by cell label, making every matrix and
 report reproducible bit for bit.
 """
@@ -270,16 +280,21 @@ def _diagonal_factors(entries: list[int]) -> tuple[int, ...]:
     return tuple(d)
 
 
-def _boundary_factors(complex_: ChainComplex) -> dict[int, tuple[int, ...]]:
-    """Invariant factors of each boundary d_n, n = top .. 1, split from the
-    top down, each without the columns the one above cleared (see the
-    module docstring)."""
+def _boundary_factors(complex_: ChainComplex, live: list) -> dict[int, tuple[int, ...]]:
+    """Invariant factors of each boundary d_n, n = top .. 1, restricted to
+    the cells marked live, split from the top down, each without the
+    columns the one above cleared (see the module docstring)."""
     factors = {}
     cleared = {}
+    # every dead row is this one empty dict: no column holds one, so the
+    # split never writes it
+    empty = {}
     for d in range(complex_.top_dim, 0, -1):
-        # the working copy the split changes in place, cleared columns left out
-        rows = [{c: v for c, v in row.items() if c not in cleared} if cleared else row.copy()
-                for row in complex_.rows(d)]
+        # the working copy the split changes in place, in basis indices,
+        # without the columns of cleared d-cells; a dead d-cell has no
+        # entry in a live row (see the module docstring)
+        rows = [{c: v for c, v in row.items() if c not in cleared} if alive else empty
+                for row, alive in zip(complex_.rows(d), live[d - 1])]
         pivots, remainder = _split_pivots(rows)
         factors[d] = _invariant_factors(pivots.values())
         cleared = {} if remainder else pivots
@@ -302,9 +317,10 @@ class HomologyResult(_Value):
         ]
 
 
-def _coreduce(complex_: ChainComplex) -> tuple[ChainComplex, int]:
-    """The complex left when one vertex per connected component and then
-    every coreduction pair are removed, and the number of components.
+def _coreduce(complex_: ChainComplex) -> tuple[list, int]:
+    """The cells left live when one vertex per connected component and then
+    every coreduction pair are removed, one bool per cell in basis order
+    for each dimension, and the number of components.
 
     Works a dimension at a time from the bottom: pairs of (d-1)-cells and
     d-cells change the live faces of d-cells only, and remove d-cells,
@@ -315,11 +331,11 @@ def _coreduce(complex_: ChainComplex) -> tuple[ChainComplex, int]:
     +-1.  Each coordinate puts a +1 and a -1 into a boundary, so its
     coefficients sum to 0 and a cell has one live face only after another
     was removed: a dimension whose faces all stay live has no pair and is
-    skipped.  Boundaries that lost no cell are handed on as they are.
+    skipped.
     """
     top = complex_.top_dim
     if top == 0:
-        return ChainComplex({0: ()}, {}), complex_.rank_of_chains(0)
+        return [[False] * complex_.rank_of_chains(0)], complex_.rank_of_chains(0)
     live = [[True] * complex_.rank_of_chains(d) for d in range(top + 1)]
     components = 0
     for d in range(1, top + 1):
@@ -360,22 +376,7 @@ def _coreduce(complex_: ChainComplex) -> tuple[ChainComplex, int]:
                     components += 1
                     drop(v)
                     drain()
-    basis, boundary = {}, {}
-    for d in range(top + 1):
-        # a list: tuple(compress(...)) resizes the tuple as it grows, which
-        # fragmented the heap enough to raise peak RSS over repeated calls
-        labels = complex_.basis[d]
-        basis[d] = labels if all(live[d]) else [
-            label for label, alive in zip(labels, live[d]) if alive]
-    for d in range(1, top + 1):
-        rows, lo, hi = complex_.rows(d), live[d - 1], live[d]
-        if len(basis[d]) < len(hi):
-            index = dict(zip(compress(range(len(hi)), hi), count()))
-            rows = [{index[c]: v for c, v in row.items() if hi[c]} for row in compress(rows, lo)]
-        elif len(basis[d - 1]) < len(lo):
-            rows = list(compress(rows, lo))
-        boundary[d] = rows
-    return ChainComplex(basis, boundary), components
+    return live, components
 
 
 def homology(K: PrecubicalSet) -> HomologyResult:
@@ -390,14 +391,14 @@ def homology(K: PrecubicalSet) -> HomologyResult:
     top = complex_.top_dim
     if top < 0:
         return HomologyResult((), ())
-    reduced, components = _coreduce(complex_)
-    factors = _boundary_factors(reduced)
+    live, components = _coreduce(complex_)
+    factors = _boundary_factors(complex_, live)
     betti = []
     torsion = []
     for d in range(top + 1):
         rank_in = len(factors.get(d, ()))
         rank_out = len(factors.get(d + 1, ()))
-        betti.append(reduced.rank_of_chains(d) - rank_in - rank_out)
+        betti.append(live[d].count(True) - rank_in - rank_out)
         torsion.append(tuple(f for f in factors.get(d + 1, ()) if f > 1))
     betti[0] += components
     return HomologyResult(tuple(betti), tuple(torsion))

@@ -144,7 +144,8 @@ class TestValidate:
         ({0: ["a"], 1: ["e"]}, {(True, 1, 0, "e"): "a"}, "face dimension must be an int >= 1: True"),
         ({0: ["a"], 1: ["e"]}, {(1, True, 0, "e"): "a"}, "face index True out of range 1..1"),
         ({0: ["a"], 1: ["e"]}, {(1, 1, False, "e"): "a"}, "face sign must be 0 or 1: False"),
-    ], ids=["cell-dim", "face-dim", "index", "sign"])
+        ({0: ["v"], 1: ["e"]}, {(1, 1, 0.0, "e"): "v"}, "face sign must be 0 or 1: 0.0"),
+    ], ids=["cell-dim", "face-dim", "index", "sign", "float-sign"])
     def test_booleans_are_not_indices(self, cells, faces, message):
         with pytest.raises(ValueError) as err:
             PrecubicalSet(cells, faces)
@@ -366,6 +367,15 @@ class TestFace:
         with pytest.raises(ValueError, match=r"^face sign must be 0 or 1: 2$"):
             K.face(CellId(1, "e"), 1, 2)
 
+    def test_float_and_bool_signs_are_named(self):
+        # 0.0 and 1.0 equal 0 and 1, and used to reach the face row as an index
+        K = standard_cube(2)
+        for alpha in (0.0, 1.0, True):
+            with pytest.raises(ValueError, match=r"^face sign must be 0 or 1: %s$" % alpha):
+                K.face(CellId(1, "*0"), 1, alpha)
+        with pytest.raises(ValueError, match=r"^face index 1.0 out of range 1..2$"):
+            K.face(CellId(2, "**"), 1.0, 0)
+
     def test_dangling_entry_is_named(self):
         K = self.edge("a", "z")
         with pytest.raises(
@@ -409,6 +419,15 @@ class TestFaceStorage:
         assert K.face_label(0, "a", 1, 0) is None
         assert K.face_label(1, "ghost", 1, 0) is None
         assert K.face_label(2, "s", 2, 1) == "f"
+
+    def test_float_and_bool_keys_read_as_none(self):
+        # 1.0 and True equal 1, and a float used to reach the face row as an index
+        K = standard_cube(2)
+        assert K.face_label(1, "*0", 1, 0) == "00"
+        assert K.face_label(1, "*0", 1, 0.0) is None
+        assert K.face_label(2, "**", 1.0, 0) is None
+        assert K.face_label(2, "**", 1, True) is None
+        assert K.face_label(2, "**", True, 0) is None
 
     def test_missing_entries_are_part_of_equality(self):
         K = PrecubicalSet(self.CELLS, dict(self.ENTRIES))

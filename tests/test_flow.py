@@ -87,6 +87,12 @@ class TestCorner:
         with pytest.raises(ValueError):
             corner(standard_cube(1), CellId(1, "*"), 2)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, True, False])
+    def test_float_and_bool_signs_rejected(self, alpha):
+        # face refuses these; corner gave a bare TypeError on a float and "11" on True
+        with pytest.raises(ValueError, match=r"^corner sign must be 0 or 1: %s$" % alpha):
+            corner(standard_cube(2), CellId(2, "**"), alpha)
+
     @pytest.mark.parametrize("dim, alpha", [(1, 0), (2, 1), (0, 0)])
     def test_undeclared_cell_is_named(self, dim, alpha):
         # the vertex used to come back as its own corner, the others gave a bare KeyError
