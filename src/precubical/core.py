@@ -52,18 +52,21 @@ from operator import attrgetter, itemgetter
 LETTERS = "01*"
 STAR = "*"
 
-# sets a field of a _Value from its __init__, past the write guard
-_set = object.__setattr__
+
+def _slots(fields: tuple[str, ...]) -> tuple[str, ...]:
+    """The private slot of each field of a _Value: _dim for dim."""
+    return tuple("_" + name for name in fields)
 
 
 class _Value:
     """Base of the immutable value classes.
 
     A subclass names its fields, in constructor order, in _fields, keeps
-    them in __slots__ and sets them in its own __init__ with _set.  Two
-    values are equal when they are of the same class and their fields are
-    equal, and hash alike then; the repr lists the fields as
-    Name(field=value, ...).  Assignment and deletion raise AttributeError.
+    them in the private slots _slots(_fields) and stores them in __init__
+    with plain assignments.  A field reads through a property without a
+    setter, so assigning or deleting one raises AttributeError.  Two values
+    are equal when they are of the same class and their fields are equal,
+    and hash alike then; the repr lists the fields as Name(field=value, ...).
     """
 
     __slots__ = ()
@@ -71,9 +74,11 @@ class _Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
+        for name, slot in zip(cls._fields, _slots(cls._fields)):
+            setattr(cls, name, property(attrgetter(slot), doc=f"The {name} field."))
         # the field values, as a tuple when there are several; an
         # attrgetter is no descriptor, so it is called as self._values(self)
-        cls._values = attrgetter(*cls._fields)
+        cls._values = attrgetter(*_slots(cls._fields))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -87,17 +92,6 @@ class _Value:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __setstate__(self, state):
-        # copy and pickle restore the slots through here, not setattr
-        for name, value in state[1].items():
-            _set(self, name, value)
-
 
 @functools.total_ordering
 class CellId(_Value):
@@ -106,27 +100,29 @@ class CellId(_Value):
     Cells are ordered by dimension, then label.
     """
 
-    __slots__ = _fields = ("dim", "label")
+    _fields = ("dim", "label")
+    __slots__ = _slots(_fields)
 
     def __init__(self, dim: int, label: str):
-        _set(self, "dim", dim)
-        _set(self, "label", label)
+        self._dim = dim
+        self._label = label
 
     def __lt__(self, other):
         if other.__class__ is CellId:
-            return (self.dim, self.label) < (other.dim, other.label)
+            return (self._dim, self._label) < (other._dim, other._label)
         return NotImplemented
 
 
 class CubeWord(_Value):
     """A morphism [m] -> [n] of the cube category, as a length-n word with m stars."""
 
-    __slots__ = _fields = ("letters",)
+    _fields = ("letters",)
+    __slots__ = _slots(_fields)
 
     def __init__(self, letters: str):
         if set(letters) - set(LETTERS):
             raise ValueError(f"cube word may only contain 0, 1, *: {letters!r}")
-        _set(self, "letters", letters)
+        self._letters = letters
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -179,19 +175,20 @@ class Violation(_Value):
     Unused coordinate fields are None.
     """
 
-    __slots__ = _fields = ("kind", "dim", "cell", "i", "alpha", "j", "beta", "detail")
+    _fields = ("kind", "dim", "cell", "i", "alpha", "j", "beta", "detail")
+    __slots__ = _slots(_fields)
 
     def __init__(self, kind: str, dim: int, cell: str, i: int | None = None,
                  alpha: int | None = None, j: int | None = None,
                  beta: int | None = None, detail: str = ""):
-        _set(self, "kind", kind)
-        _set(self, "dim", dim)
-        _set(self, "cell", cell)
-        _set(self, "i", i)
-        _set(self, "alpha", alpha)
-        _set(self, "j", j)
-        _set(self, "beta", beta)
-        _set(self, "detail", detail)
+        self._kind = kind
+        self._dim = dim
+        self._cell = cell
+        self._i = i
+        self._alpha = alpha
+        self._j = j
+        self._beta = beta
+        self._detail = detail
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind, "dim": self.dim, "cell": self.cell}
@@ -285,9 +282,8 @@ class PrecubicalSet:
 
     def all_cells(self):
         """Yield every cell as a CellId, in (dimension, label) order."""
-        for dim in sorted(self._cells):
-            for label in self._cells[dim]:
-                yield CellId(dim, label)
+        for dim, label in _cell_keys(self):
+            yield CellId(dim, label)
 
     def has_cell(self, dim: int, label: str) -> bool:
         return label in _face_rows(self, dim)
@@ -398,6 +394,12 @@ def _face_rows(K: PrecubicalSet, dim: int) -> dict:
     """label -> face row of each declared dim-cell of K, () for a vertex,
     and empty for a dimension without cells; read only."""
     return K._rows.get(dim, {})
+
+
+def _cell_keys(K: PrecubicalSet):
+    """(dim, label) of every cell of K, in all_cells order: a loop that reads
+    them often walks these, since a CellId serves each through a property."""
+    return ((dim, label) for dim in range(K.top_dim + 1) for label in K.cells(dim))
 
 
 def _require_cell(K: PrecubicalSet, cell: CellId) -> None:
@@ -622,7 +624,7 @@ class PcsMap:
     @classmethod
     def inclusion(cls, sub: PrecubicalSet, K: PrecubicalSet) -> "PcsMap":
         """The identity-on-labels inclusion of a subcomplex."""
-        return cls(sub, K, {(c.dim, c.label): c.label for c in sub.all_cells()})
+        return cls(sub, K, {key: key[1] for key in _cell_keys(sub)})
 
     def __call__(self, cell: CellId) -> CellId:
         image = self.mapping.get((cell.dim, cell.label))
@@ -638,33 +640,27 @@ class PcsMap:
         commute through it.
         """
         problems = []
-        for cell in self.source.all_cells():
-            key = (cell.dim, cell.label)
-            if key not in self.mapping:
-                problems.append(f"cell ({cell.dim}, {cell.label!r}) has no image")
+        for dim, label in _cell_keys(self.source):
+            if (dim, label) not in self.mapping:
+                problems.append(f"cell ({dim}, {label!r}) has no image")
                 continue
-            image = self.mapping[key]
-            if not self.target.has_cell(cell.dim, image):
-                problems.append(
-                    f"image of ({cell.dim}, {cell.label!r}) is undeclared ({cell.dim}, {image!r})"
-                )
+            image = self.mapping[dim, label]
+            if not self.target.has_cell(dim, image):
+                problems.append(f"image of ({dim}, {label!r}) is undeclared ({dim}, {image!r})")
                 continue
-            for i in range(1, cell.dim + 1):
+            for i in range(1, dim + 1):
                 for alpha in (0, 1):
-                    src_face, src_problem = _face_entry(self.source, cell.dim, cell.label,
-                                                        i, alpha)
-                    tgt_face, tgt_problem = _face_entry(self.target, cell.dim, image, i, alpha)
+                    src_face, src_problem = _face_entry(self.source, dim, label, i, alpha)
+                    tgt_face, tgt_problem = _face_entry(self.target, dim, image, i, alpha)
                     for side, problem in (("source", src_problem), ("target", tgt_problem)):
                         if problem:
                             problems.append(f"{side} {problem}")
                     if src_face is None or tgt_face is None:
                         continue
-                    mapped = self.mapping.get((cell.dim - 1, src_face))
+                    mapped = self.mapping.get((dim - 1, src_face))
                     if mapped != tgt_face:
-                        problems.append(
-                            f"faces do not commute at ({cell.dim}, {cell.label!r}), "
-                            f"d[{i},{alpha}]: {mapped!r} != {tgt_face!r}"
-                        )
+                        problems.append(f"faces do not commute at ({dim}, {label!r}), "
+                                        f"d[{i},{alpha}]: {mapped!r} != {tgt_face!r}")
         return problems
 
     @property
@@ -713,9 +709,8 @@ def pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
     # only the images of L's cells are ever identified; every other cell
     # is a class of its own and keeps its tagged label
     uf = _UnionFind()
-    for cell in L.all_cells():
-        key = (cell.dim, cell.label)
-        uf.union((cell.dim, "K", f.mapping[key]), (cell.dim, "M", g.mapping[key]))
+    for dim, label in _cell_keys(L):
+        uf.union((dim, "K", f.mapping[dim, label]), (dim, "M", g.mapping[dim, label]))
     tags: dict[tuple, list[str]] = {}
     for node in uf.parent:
         tags.setdefault(uf.find(node), []).append(f"{node[1]}:{node[2]}")

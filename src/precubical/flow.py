@@ -37,18 +37,19 @@ globular.globular_decomposition.
 from __future__ import annotations
 
 from .core import (CellId, PrecubicalSet, _UnionFind, _Value, _face_rows, _is_sign,
-                   _require_cell, _require_valid, _set, apply_cube_map)
+                   _require_cell, _require_valid, _slots, apply_cube_map)
 
 
 class EdgePath(_Value):
     """A non-empty composable sequence of 1-cells, with its endpoints."""
 
-    __slots__ = _fields = ("edges", "source", "target")
+    _fields = ("edges", "source", "target")
+    __slots__ = _slots(_fields)
 
     def __init__(self, edges: tuple[str, ...], source: str, target: str):
-        _set(self, "edges", edges)
-        _set(self, "source", source)
-        _set(self, "target", target)
+        self._edges = edges
+        self._source = source
+        self._target = target
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -66,39 +67,39 @@ class PathClass(_Value):
     """
 
     _fields = ("representative", "source", "target", "length", "size")
-    __slots__ = _fields + ("_pass", "_members")
+    __slots__ = _slots(_fields) + ("_pass", "_members")
 
     def __init__(self, representative: tuple[str, ...], source: str, target: str,
                  length: int, size: int, _pass=None):
-        _set(self, "representative", representative)
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "length", length)
-        _set(self, "size", size)
-        _set(self, "_pass", _pass)
-        _set(self, "_members", None)
+        self._representative = representative
+        self._source = source
+        self._target = target
+        self._length = length
+        self._size = size
+        self._pass = _pass
+        self._members = None
 
     @property
     def members(self) -> frozenset:
         if self._members is None:
-            if self.size == 1:
-                members = frozenset({self.representative})
+            if self._size == 1:
+                self._members = frozenset({self._representative})
             elif self._pass is None:
                 raise ValueError("the members of a hand-built class of size > 1 are unknown")
             else:
-                members = self._pass.members(self.representative)
-            _set(self, "_members", members)
+                self._members = self._pass.members(self._representative)
         return self._members
 
 
 class StatePoset(_Value):
     """A strict partial order on the states: pairs (a, b) with a strictly below b."""
 
-    __slots__ = _fields = ("states", "pairs")
+    _fields = ("states", "pairs")
+    __slots__ = _slots(_fields)
 
     def __init__(self, states: tuple[str, ...], pairs: frozenset):
-        _set(self, "states", states)
-        _set(self, "pairs", pairs)
+        self._states = states
+        self._pairs = pairs
 
     def less(self, a: str, b: str) -> bool:
         return (a, b) in self.pairs
@@ -107,11 +108,12 @@ class StatePoset(_Value):
 class LoopReport(_Value):
     """Witness that the edge graph is not loopless: a directed cycle of edges."""
 
-    __slots__ = _fields = ("cycle", "states")
+    _fields = ("cycle", "states")
+    __slots__ = _slots(_fields)
 
     def __init__(self, cycle: tuple[str, ...], states: tuple[str, ...]):
-        _set(self, "cycle", cycle)
-        _set(self, "states", states)
+        self._cycle = cycle
+        self._states = states
 
 
 def realize_states(K: PrecubicalSet) -> frozenset:

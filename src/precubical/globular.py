@@ -15,7 +15,7 @@ fields are exported.
 
 from __future__ import annotations
 
-from .core import CellId, PrecubicalSet, _Value, _face_rows, _require_valid, _set
+from .core import CellId, PrecubicalSet, _Value, _face_rows, _require_valid, _slots
 
 
 class FlowAtom(_Value):
@@ -26,12 +26,13 @@ class FlowAtom(_Value):
     attached between those two vertices.
     """
 
-    __slots__ = _fields = ("cube", "source", "target")
+    _fields = ("cube", "source", "target")
+    __slots__ = _slots(_fields)
 
     def __init__(self, cube: CellId, source: str, target: str):
-        _set(self, "cube", cube)
-        _set(self, "source", source)
-        _set(self, "target", target)
+        self._cube = cube
+        self._source = source
+        self._target = target
 
     @property
     def globe_dim(self) -> int:
@@ -55,11 +56,12 @@ class GlobularDecomposition(_Value):
     It is not hashable, since stages is a dict.
     """
 
-    __slots__ = _fields = ("vertices", "stages")
+    _fields = ("vertices", "stages")
+    __slots__ = _slots(_fields)
 
     def __init__(self, vertices: tuple[str, ...], stages: dict):
-        _set(self, "vertices", vertices)
-        _set(self, "stages", stages)
+        self._vertices = vertices
+        self._stages = stages
 
     def cells(self) -> tuple[FlowAtom, ...]:
         """All cells flattened in skeletal order."""

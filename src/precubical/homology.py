@@ -71,7 +71,7 @@ from __future__ import annotations
 import math
 from itertools import compress, count
 
-from .core import PrecubicalSet, _Value, _face_rows, _require_valid, _set
+from .core import PrecubicalSet, _Value, _face_rows, _require_valid, _slots
 
 
 class ChainComplex:
@@ -304,11 +304,12 @@ def _boundary_factors(complex_: ChainComplex, live: list) -> dict[int, tuple[int
 class HomologyResult(_Value):
     """Betti numbers and torsion coefficients, indexed by dimension 0..top."""
 
-    __slots__ = _fields = ("betti", "torsion")
+    _fields = ("betti", "torsion")
+    __slots__ = _slots(_fields)
 
     def __init__(self, betti: tuple[int, ...], torsion: tuple[tuple[int, ...], ...]):
-        _set(self, "betti", betti)
-        _set(self, "torsion", torsion)
+        self._betti = betti
+        self._torsion = torsion
 
     def rows(self) -> list[dict]:
         return [

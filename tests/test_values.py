@@ -3,10 +3,14 @@
 CellId, CubeWord, Violation, EdgePath, PathClass, StatePoset, LoopReport,
 FlowAtom, GlobularDecomposition and HomologyResult are small frozen
 records: positional fields in a fixed order, equality and hashing by
-field values within one class, a repr listing the fields, no assignment
-after construction, and copies and pickles that compare equal.  CellId is
-ordered by (dim, label).  PathClass leaves its level tables out of
-equality and repr, and builds its members on first read.
+field values within one class, a repr listing the fields, and copies and
+pickles that compare equal.  Each field is kept in a private slot and
+read through a property without a setter, so no field can be assigned
+or deleted after construction, not even through object.__setattr__, and
+a value has no __dict__ to take other names.  CellId is ordered by
+(dim, label).  PathClass leaves its level tables out of equality and
+repr, builds its members on first read, and its copies and pickles carry
+the built members along.
 """
 
 from __future__ import annotations
@@ -195,8 +199,12 @@ def test_assignment_and_deletion_raise(name):
             setattr(value, field, args[0])
         with pytest.raises(AttributeError):
             delattr(value, field)
+        # a field is a property without a setter, past any __setattr__
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, field, args[0])
     with pytest.raises(AttributeError):
         value.extra = 1
+    assert not hasattr(value, "__dict__")
     assert tuple(getattr(value, f) for f in fields) == args
 
 
@@ -271,6 +279,17 @@ class TestPathClassValue:
         c = PathClass(("*",), "0", "1", 1, 1)
         with pytest.raises(AttributeError):
             c.members = frozenset()
+
+    def test_members_cache_survives_copies(self):
+        paths = [("*0", "1*"), ("0*", "*1")]
+        counter = self.CountingPass(paths)
+        c = PathClass(paths[0], "00", "11", 2, 2, counter)
+        assert c.members == frozenset(paths)
+        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert twin.members == frozenset(paths)
+            # a deep copy and a pickle carry a copy of the pass, read once
+            assert twin._pass.calls == 1
+        assert counter.calls == 1
 
     def test_members_survive_a_pickle(self):
         c = enumerate_path_classes(standard_cube(3), "000", "111", 3)[0]
