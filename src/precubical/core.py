@@ -24,14 +24,16 @@ using another convention will disagree by a relabeling of face indices.
 Everything here is finite and immutable after construction; operations are
 pure functions, so results are deterministic and safe to share.
 
-A complex keeps its cells in one private table, owned by this module: for
-each dimension that has cells, one row per declared cell, the tuple of its
-2n faces with d[i, alpha] at slot 2*(i-1) + alpha, and None where a
-hand-built or parsed complex has no entry.  A vertex's row is ().  Other
-modules read the rows through _face_rows.  Every complex is made by
-PrecubicalSet._fill, which the constructor and _adopt end in; the checked
-path, _tabulate, is shared with parse, and gives each face entry that names
-a declared cell that cell's own label string.
+A complex is built from one private table, owned by this module, and from
+nothing else: for each dimension that has cells, one row per declared
+cell, the tuple of its 2n faces with d[i, alpha] at slot 2*(i-1) + alpha,
+and None where a hand-built or parsed complex has no entry.  A vertex's
+row is ().  The labels of a dimension are the keys of its table, so a
+label is declared once and cannot repeat.  Other modules read the rows
+through _face_rows.  Every complex is made by PrecubicalSet._fill, which
+the constructor and _adopt end in; the checked path, _tabulate, is shared
+with parse, and gives each face entry that names a declared cell that
+cell's own label string.
 
 The builders and validate work a whole face row at a time.  standard_cube
 grows the n-cube from the rows of the (n-1)-cube, and pushout renames each
@@ -225,10 +227,12 @@ class PrecubicalSet:
     and cubical-relation failures are the business of validate, so that
     broken inputs can be represented and reported.
 
-    Whichever way it is made, a complex keeps one face row per declared
-    cell, () for a vertex, and that table answers every membership
-    test.  face_map lists the entries in canonical order, by dimension,
-    label, i and alpha, whatever order they were given in.
+    Whichever way it is made, a complex is its table of face rows: one
+    row per declared cell, () for a vertex, keyed on the cell's label.
+    That table answers every membership test, its keys are the cells,
+    and two complexes are equal when their tables are.  face_map lists
+    the entries in canonical order, by dimension, label, i and alpha,
+    whatever order they were given in.
 
     The builders standard_cube, boundary_cube, skeleton (of a complex
     known to be valid), tensor, pushout, disjoint_union, circle, interval,
@@ -239,27 +243,25 @@ class PrecubicalSet:
     """
 
     def __init__(self, cells, faces=None):
-        self._fill(*_tabulate(dict(cells), dict(faces or {}).items()), False)
+        self._fill(_tabulate(dict(cells), dict(faces or {}).items()), False)
 
     @classmethod
-    def _adopt(cls, cells, rows, valid: bool) -> "PrecubicalSet":
-        """A complex owning the given cells dict and face rows, without the
-        per-entry checks of _tabulate; valid says whether the caller
-        guarantees the precubical axioms.  rows has a row for each cell,
-        () for a vertex; cells maps each dimension to its labels, and the
-        row tables themselves will do."""
+    def _adopt(cls, rows, valid: bool) -> "PrecubicalSet":
+        """The complex whose face rows are rows, {dim: {label: row}}, without
+        the per-entry checks of _tabulate; valid says whether the caller
+        guarantees the precubical axioms.  The complex keeps the tables of
+        rows, not copies, and a dimension whose table is empty has no
+        cells."""
         K = cls.__new__(cls)
-        K._fill(cells, rows, valid)
+        K._fill(rows, valid)
         return K
 
-    def _fill(self, cells, rows, valid: bool) -> None:
+    def _fill(self, rows, valid: bool) -> None:
         # the one place that builds a complex; only validate, which records
         # its verdict in _valid, writes a field after this
-        _require_distinct(cells, rows)
-        self._cells = {dim: tuple(sorted(labels)) for dim, labels in cells.items() if labels}
-        # one row table per dimension that has cells, keyed on its labels
-        self._rows = {dim: rows[dim] for dim in self._cells}
-        self._top_dim = max(self._cells, default=-1)
+        self._rows = {dim: table for dim, table in rows.items() if table}
+        self._cells = {dim: tuple(sorted(table)) for dim, table in self._rows.items()}
+        self._top_dim = max(self._rows, default=-1)
         # set by validate and by the builders that are valid by
         # construction; a complex known to be valid is never checked again
         self._valid = valid
@@ -325,15 +327,15 @@ class PrecubicalSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrecubicalSet):
             return NotImplemented
-        return self._cells == other._cells and self._rows == other._rows
+        return self._rows == other._rows
 
     def __repr__(self) -> str:
         counts = ", ".join(str(c) for c in self.cell_counts())
         return f"PrecubicalSet(cells=({counts}))"
 
 
-def _tabulate(cells, entries) -> tuple[dict, dict]:
-    """The (cells, rows) of a complex with the given cells and
+def _tabulate(cells, entries) -> dict:
+    """The face rows of a complex with the given cells and
     ((dim, i, alpha, label), value) face entries, through the structural
     checks of the constructor and of parse: raises ValueError at the
     first failure, a repeated label before any face entry."""
@@ -342,6 +344,10 @@ def _tabulate(cells, entries) -> tuple[dict, dict]:
     for dim, labels in cells.items():
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise ValueError(f"cell dimension must be a non-negative int: {dim!r}")
+        if isinstance(labels, str):
+            # a string is iterable, and would give one cell per character
+            raise ValueError(f"cell labels of dimension {dim} must be a collection "
+                             f"of strings, not a string: {labels!r}")
         labels = checked[dim] = list(labels)
         for lab in labels:
             if not isinstance(lab, str):
@@ -351,7 +357,11 @@ def _tabulate(cells, entries) -> tuple[dict, dict]:
         except (OverflowError, MemoryError):
             # a row longer than a list can be raises one of these at once
             raise ValueError(f"cell dimension is too large: {dim}") from None
-    _require_distinct(checked, rows)
+    for dim, labels in checked.items():
+        # the table, keyed on the labels, is shorter than a list that repeats one
+        if len(rows[dim]) < len(labels):
+            dupes = sorted(label for label, n in Counter(labels).items() if n > 1)
+            raise ValueError(f"duplicate labels in dimension {dim}: {dupes}")
     for (dim, i, alpha, label), value in entries:
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ValueError(f"face dimension must be an int >= 1: {dim!r}")
@@ -370,24 +380,15 @@ def _tabulate(cells, entries) -> tuple[dict, dict]:
     # each value becomes the very label of the cell below that it names,
     # as in a built complex; a dangling one keeps its own string
     for dim, table in rows.items():
-        get = {label: label for label in checked.get(dim - 1, ())}.get
+        get = {label: label for label in rows.get(dim - 1, ())}.get
         rows[dim] = {label: tuple(map(get, row, row)) for label, row in table.items()}
-    return checked, rows
+    return rows
 
 
 def _is_sign(alpha) -> bool:
     """Whether alpha is a face sign: the int 0 or 1 exactly.  False, True,
     0.0 and 1.0 compare equal to those, but name no face slot."""
     return alpha.__class__ is int and 0 <= alpha <= 1
-
-
-def _require_distinct(cells, rows) -> None:
-    """Raise ValueError naming the first dimension that repeats a label:
-    its row table, keyed on the labels, is shorter than its label list."""
-    for dim, labels in cells.items():
-        if len(rows.get(dim, ())) < len(labels):
-            dupes = sorted(label for label, n in Counter(labels).items() if n > 1)
-            raise ValueError(f"duplicate labels in dimension {dim}: {dupes}")
 
 
 def _face_rows(K: PrecubicalSet, dim: int) -> dict:
@@ -552,7 +553,7 @@ def standard_cube(n: int) -> PrecubicalSet:
             grown[k + 1].update({name[w]: (zero[w], one[w], *map(face, row))
                                  for w, row in table.items()})
         rows = grown
-    return PrecubicalSet._adopt(rows, rows, True)
+    return PrecubicalSet._adopt(rows, True)
 
 
 def boundary_cube(n: int) -> PrecubicalSet:
@@ -563,18 +564,15 @@ def boundary_cube(n: int) -> PrecubicalSet:
 
 
 def _empty() -> PrecubicalSet:
-    return PrecubicalSet._adopt({}, {}, True)
+    return PrecubicalSet._adopt({}, True)
 
 
 def skeleton(K: PrecubicalSet, n: int) -> PrecubicalSet:
     """The subcomplex of cells of dimension at most n; valid by
     construction when K is known to be valid."""
-    if n < 0:
-        return _empty()
-    cells = {d: K.cells(d) for d in range(min(n, K.top_dim) + 1)}
     # rows are never changed after construction, so the two complexes share
-    # them; _fill keeps only the tables of the dimensions in cells
-    return PrecubicalSet._adopt(cells, K._rows, K._valid)
+    # the tables of the dimensions up to n
+    return PrecubicalSet._adopt({d: table for d, table in K._rows.items() if d <= n}, K._valid)
 
 
 def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
@@ -592,17 +590,15 @@ def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
         )
     _require_cell(K, c)
     _require_valid(K)
-    letters = w.letters
-    dim, label = c.dim, c.label
-    while True:
-        pos = next((p for p, ch in enumerate(letters) if ch != STAR), None)
-        if pos is None:
-            return CellId(dim, label)
-        # w factors as (insert letter at pos) o (rest of the word), so the
-        # presheaf applies the face first and the remaining word after
-        label = K._rows[dim][label][2 * pos + int(letters[pos])]
-        dim -= 1
-        letters = letters[:pos] + letters[pos + 1 :]
+    dim, label, letters = c.dim, c.label, w.letters
+    # the letter at place pos is the face d[pos + 1, letter]; taken right to
+    # left, each letter is still at its own place in the face before it, and
+    # the cubical relations make the order of the faces immaterial
+    for pos in reversed(range(dim)):
+        if letters[pos] != STAR:
+            label = K._rows[dim][label][2 * pos + int(letters[pos])]
+            dim -= 1
+    return CellId(dim, label)
 
 
 class PcsMap:
@@ -735,7 +731,7 @@ def pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
             # faces, so every member of a glued class gives it the same row
             table.update({name[label]: tuple(map(below.__getitem__, row))
                           for label, row in _face_rows(X, dim).items()})
-    return PrecubicalSet._adopt(rows, rows, True)
+    return PrecubicalSet._adopt(rows, True)
 
 
 def disjoint_union(K: PrecubicalSet, M: PrecubicalSet) -> PrecubicalSet:
@@ -755,21 +751,19 @@ def tensor(K: PrecubicalSet, L: PrecubicalSet) -> PrecubicalSet:
     """
     _require_valid(K)
     _require_valid(L)
-    cells: dict[int, list[str]] = {}
     rows: dict[int, dict[str, tuple]] = {}
     for p in range(K.top_dim + 1):
         for q in range(L.top_dim + 1):
-            left, right = _face_rows(K, p), _face_rows(L, q)
+            left, right, table = _face_rows(K, p), _face_rows(L, q), rows.setdefault(p + q, {})
             for x in K.cells(p):
                 for y in L.cells(q):
-                    label = f"{x}|{y}"
-                    cells.setdefault(p + q, []).append(label)
                     # the left factor's faces fill the first 2p slots of the row
-                    rows.setdefault(p + q, {})[label] = tuple([f"{fx}|{y}" for fx in left[x]]
-                                                              + [f"{x}|{fy}" for fy in right[y]])
-    if any(len(rows[dim]) < len(labels) for dim, labels in cells.items()):
+                    table[f"{x}|{y}"] = tuple([f"{fx}|{y}" for fx in left[x]]
+                                              + [f"{x}|{fy}" for fy in right[y]])
+    # two pairs named alike leave fewer rows than pairs
+    if sum(map(len, rows.values())) < sum(K.cell_counts()) * sum(L.cell_counts()):
         return tensor(_escape_labels(K), _escape_labels(L))
-    return PrecubicalSet._adopt(cells, rows, True)
+    return PrecubicalSet._adopt(rows, True)
 
 
 def _escape_labels(K: PrecubicalSet) -> PrecubicalSet:
@@ -778,7 +772,6 @@ def _escape_labels(K: PrecubicalSet) -> PrecubicalSet:
     def escape(label):
         return label.replace("\\", "\\\\").replace("|", "\\|")
     return PrecubicalSet._adopt(
-        {dim: list(map(escape, labels)) for dim, labels in K._cells.items()},
         {dim: {escape(label): tuple(map(escape, row)) for label, row in table.items()}
          for dim, table in K._rows.items()},
         K._valid)

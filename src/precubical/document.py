@@ -25,7 +25,8 @@ followed by a newline:
 
 So serialize(parse(serialize(K))) is byte-identical to serialize(K).
 
-Both directions move each dimension's face records as whole columns.
+serialize writes each dimension's face records as whole columns, and
+parse builds a complex from its face rows alone, as every builder does.
 parse accepts any layout and has one reader, with a fast read for the
 canonical layout.  A text that starts as every canonical document does is
 read by that layout, without decoding it as one JSON tree: json escapes
@@ -40,13 +41,13 @@ label of the cell it names; when at most half the face slots are empty,
 the alpha, cell, dim and i lines above each value are read too, and the
 records go through the constructor's structural checks.  Whatever the
 layout read proposes is kept only if writing it back gives the text byte
-for byte.  The writer never repeats a key and puts every line where the
-layout read looks for it, so a text with a repeated key or a line out of
-place is never kept, and since parse(serialize(K)) == K, a kept text
-gives what the hooked read would.  Every other document is read with the
-hook, so a repeated key is reported before anything else, and then goes
-through the shape checks, one face record at a time, and the
-constructor's structural checks.
+for byte.  The writer never repeats a key or a label and puts every line
+where the layout read looks for it, so a text with a repeated key or
+label or a line out of place is never kept, and since
+parse(serialize(K)) == K, a kept text gives what the hooked read would.
+Every other document is read with the hook, so a repeated key is
+reported before anything else, and then goes through the shape checks,
+one face record at a time, and the constructor's structural checks.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def _text(K: PrecubicalSet) -> str:
 
 # the fields of a face record, in canonical order, and the type of each
 _FACE_FIELDS = {"dim": int, "i": int, "alpha": int, "cell": str, "value": str}
+# the key (dim, i, alpha, cell) of a face record
+_FACE_KEY = itemgetter("dim", "i", "alpha", "cell")
 
 
 def _object(pairs: list) -> dict:
@@ -143,7 +146,7 @@ def parse(data, check: bool = True) -> PrecubicalSet:
                             f"not {type(data).__name__}")
         K = _canonical(data)
         if K is None:
-            cells, columns, top_dim = _shape(json.loads(data, object_pairs_hook=_object))
+            cells, records, top_dim = _shape(json.loads(data, object_pairs_hook=_object))
     except UnicodeDecodeError as exc:
         raise FormatError(f"document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -159,13 +162,14 @@ def parse(data, check: bool = True) -> PrecubicalSet:
         # the face rows go through the constructor's structural checks;
         # duplicate records are reported before any structural failure
         try:
-            cells, rows = _tabulate(cells, zip(zip(*columns[:4]), columns[4]))
+            rows = _tabulate(cells, zip(map(_FACE_KEY, records),
+                                        map(itemgetter("value"), records)))
         except ValueError as exc:
-            if len(set(zip(*columns[:4]))) != len(columns[4]):
+            if len(set(map(_FACE_KEY, records))) != len(records):
                 message = "duplicate face records for the same (dim, i, alpha, cell)"
                 raise FormatError(message) from None
             raise FormatError(f"malformed document: {exc}") from exc
-        K = PrecubicalSet._adopt(cells, rows, False)
+        K = PrecubicalSet._adopt(rows, False)
         if not isinstance(top_dim, int) or isinstance(top_dim, bool):
             raise FormatError(f"'top_dim' must be an integer: {top_dim!r}")
         if top_dim != K.top_dim:
@@ -219,15 +223,15 @@ def _canonical(text: str) -> PrecubicalSet | None:
             # The lines above each value give its alpha, cell, dim and i.
             keys = json.loads("[%s]" % ",".join(map(",".join,
                                                     re.compile(_HEAD).findall(text, faces))))
-            cells, rows = _tabulate(cells, zip(zip(keys[2::4], keys[3::4], keys[::4], keys[1::4]),
-                                               values))
+            rows = _tabulate(cells, zip(zip(keys[2::4], keys[3::4], keys[::4], keys[1::4]),
+                                        values))
             del keys
         else:
             return None
         # the columns are dropped before the write-back, which would
         # otherwise peak on top of them
         del values
-        K = PrecubicalSet._adopt(cells, rows, False)
+        K = PrecubicalSet._adopt(rows, False)
         return K if _text(K) == text else None
     except (ValueError, TypeError, LookupError, AttributeError, RecursionError):
         return None
@@ -240,9 +244,9 @@ _HEAD = r'\n      "alpha": (.*),\n      "cell": (.*),\n      "dim": (.*),\n     
 
 
 def _shape(tree) -> tuple[dict, list, object]:
-    """The cells {dim: labels}, face columns (dim, i, alpha, cell, value)
-    and top_dim of a JSON tree, through the document's shape checks in
-    order: the first that fails raises FormatError."""
+    """The cells {dim: labels}, face records and top_dim of a JSON tree,
+    through the document's shape checks in order: the first that fails
+    raises FormatError."""
     # each check builds its message only when it fails
     if not isinstance(tree, dict):
         raise FormatError("document must be a JSON object")
@@ -290,8 +294,7 @@ def _shape(tree) -> tuple[dict, list, object]:
             if type(record[field]) is not kind:
                 noun = "an integer" if kind is int else "a string"
                 raise FormatError(f"face field {field!r} must be {noun}: {record!r}")
-    columns = [list(map(itemgetter(field), records)) for field in _FACE_FIELDS]
-    return cells, columns, tree["top_dim"]
+    return cells, records, tree["top_dim"]
 
 
 def _check(K: PrecubicalSet) -> None:
@@ -308,8 +311,7 @@ def _check(K: PrecubicalSet) -> None:
 
 def circle() -> PrecubicalSet:
     """The directed circle: one vertex, one loop edge."""
-    return PrecubicalSet._adopt({0: ["v"], 1: ["loop"]}, {0: {"v": ()}, 1: {"loop": ("v", "v")}},
-                                True)
+    return PrecubicalSet._adopt({0: {"v": ()}, 1: {"loop": ("v", "v")}}, True)
 
 
 def torus(d: int) -> PrecubicalSet:
@@ -334,10 +336,9 @@ def interval(k: int) -> PrecubicalSet:
     if k < 0:
         raise ValueError("interval length must be non-negative")
     # a vertex's face row is (), an edge's is (source, target)
-    vertices = [str(i) for i in range(k + 1)]
+    vertices = dict.fromkeys(map(str, range(k + 1)), ())
     edges = {f"{i}-{i + 1}": (str(i), str(i + 1)) for i in range(k)}
-    return PrecubicalSet._adopt({0: vertices, 1: list(edges)},
-                                {0: dict.fromkeys(vertices, ()), 1: edges}, True)
+    return PrecubicalSet._adopt({0: vertices, 1: edges}, True)
 
 
 _FAMILIES = {

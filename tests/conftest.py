@@ -413,14 +413,14 @@ def parse_records(data, check: bool) -> PrecubicalSet:
     # the records go straight into the face rows, through the constructor's
     # structural checks; duplicate records are reported before any of those
     try:
-        cells, rows = _tabulate(cells, (((r["dim"], r["i"], r["alpha"], r["cell"]), r["value"])
-                                        for r in records))
+        rows = _tabulate(cells, (((r["dim"], r["i"], r["alpha"], r["cell"]), r["value"])
+                                 for r in records))
     except ValueError as exc:
         if len({(r["dim"], r["i"], r["alpha"], r["cell"]) for r in records}) != len(records):
             message = "duplicate face records for the same (dim, i, alpha, cell)"
             raise FormatError(message) from None
         raise FormatError(f"malformed document: {exc}") from exc
-    K = PrecubicalSet._adopt(cells, rows, False)
+    K = PrecubicalSet._adopt(rows, False)
     top_dim = tree["top_dim"]
     if not isinstance(top_dim, int) or isinstance(top_dim, bool):
         raise FormatError(f"'top_dim' must be an integer: {top_dim!r}")
@@ -573,14 +573,12 @@ def reference_standard_cube(n: int) -> PrecubicalSet:
     """standard_cube one word at a time: each word's faces replace its stars,
     left to right, by 0 and by 1.  The reference for the cube grown a face
     row at a time."""
-    cells = {k: [] for k in range(n + 1)}
     rows = {k: {} for k in range(n + 1)}
     for word in cube_words(n):
         stars = [pos for pos, ch in enumerate(word) if ch == STAR]
-        cells[len(stars)].append(word)
         rows[len(stars)][word] = tuple([word[:pos] + alpha + word[pos + 1:]
                                         for pos in stars for alpha in "01"])
-    return PrecubicalSet._adopt(cells, rows, True)
+    return PrecubicalSet._adopt(rows, True)
 
 
 def reference_pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
@@ -604,10 +602,9 @@ def reference_pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
         tags.setdefault(uf.find(node), []).append(f"{node[1]}:{node[2]}")
     least = {root: min(group) for root, group in tags.items()}
     renamed = {node: least[uf.find(node)] for node in uf.parent}
-    cells, rows = {}, {}
+    rows = {}
     for dim in range(max(K.top_dim, M.top_dim) + 1):
         named = set()
-        out = cells[dim] = []
         for side, complex_ in (("K", K), ("M", M)):
             tag, table = side + ":", _face_rows(complex_, dim)
             for label in complex_.cells(dim):
@@ -618,11 +615,10 @@ def reference_pushout(f: PcsMap, g: PcsMap) -> PrecubicalSet:
                     continue
                 else:
                     named.add(name)
-                out.append(name)
                 rows.setdefault(dim, {})[name] = tuple([
                     renamed.get((dim - 1, side, value)) or tag + value
                     for value in table[label]])
-    return PrecubicalSet._adopt(cells, rows, True)
+    return PrecubicalSet._adopt(rows, True)
 
 
 def reference_validate(K: PrecubicalSet) -> list:

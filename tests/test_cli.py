@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from precubical import boundary_cube, parse, serialize, skeleton, standard_cube, torus
+from precubical import boundary_cube, generate, parse, serialize, skeleton, standard_cube, torus
 from precubical import cli
 from precubical.cli import main
+from precubical.document import _FAMILIES
 
 from conftest import reference_text
 
@@ -221,6 +222,13 @@ class TestGenerateCommand:
         assert main(["generate", family, str(largest), "-o", os.devnull]) == 0
         assert main(["generate", family, str(largest + 1), "-o", os.devnull]) == 2
         assert built == [largest]
+
+    @pytest.mark.parametrize("family", [f for f, (_, sized) in _FAMILIES.items() if sized])
+    def test_every_sized_family_has_its_closed_form_count(self, family):
+        # a sized family without a count would skip the cap silently
+        count = cli._CELL_COUNTS[family]
+        for k in range(5):
+            assert count(k) == sum(generate(family, k).cell_counts()), k
 
     def test_largest_allowed_interval_generates(self, capsys, tmp_path):
         out_path = tmp_path / "interval.json"

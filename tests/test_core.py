@@ -1,6 +1,7 @@
 """Presheaf kernel: constructors, validation, the cube category, gluing."""
 
 import itertools
+import json
 import math
 import random
 
@@ -15,10 +16,13 @@ from precubical import (
     boundary_cube,
     disjoint_union,
     interval,
+    parse,
     pushout,
+    serialize,
     skeleton,
     standard_cube,
     tensor,
+    torus,
     validate,
 )
 
@@ -74,6 +78,10 @@ class TestStandardCube:
 
 
 class TestBoundaryCube:
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError, match="^dimension must be non-negative$"):
+            boundary_cube(-1)
+
     def test_dimension_zero_is_empty(self):
         K = boundary_cube(0)
         assert K.cell_counts() == ()
@@ -161,7 +169,12 @@ class TestValidate:
     @pytest.mark.parametrize("cells, faces, message", [
         ({0: [1]}, {}, "cell label must be a string: 1"),
         ({0: ["a"], 1: ["e"]}, {(1, 1, 0, "e"): 5}, "face value must be a label string: 5"),
-    ], ids=["label", "value"])
+        # a string of labels gave one cell per character
+        ({0: "ab"}, {},
+         "cell labels of dimension 0 must be a collection of strings, not a string: 'ab'"),
+        ({0: ["v"], 1: "loop"}, {(1, 1, 0, "loop"): "v", (1, 1, 1, "loop"): "v"},
+         "cell labels of dimension 1 must be a collection of strings, not a string: 'loop'"),
+    ], ids=["label", "value", "labels-string", "labels-string-with-faces"])
     def test_labels_and_face_values_are_strings(self, cells, faces, message):
         with pytest.raises(ValueError) as err:
             PrecubicalSet(cells, faces)
@@ -281,6 +294,10 @@ class TestCubeWord:
         with pytest.raises(ValueError):
             CubeWord("0x1")
 
+    def test_str_is_the_letters(self):
+        assert str(CubeWord("0*1")) == "0*1"
+        assert str(CubeWord.identity(0)) == ""
+
     def test_associativity_exhaustive(self):
         for n in range(4):
             for u in brute_words(n):
@@ -331,6 +348,22 @@ class TestApplyCubeMap:
                 cu = apply_cube_map(K, c, wu)
                 for v in brute_words(wu.stars):
                     assert apply_cube_map(K, c, wu.compose(v)) == apply_cube_map(K, cu, v)
+
+    @pytest.mark.parametrize("name, K", [
+        ("torus3", torus(3)),
+        *((f"glued{seed}", random_glued_complex(random.Random(seed))) for seed in range(8)),
+    ])
+    def test_agrees_with_one_face_at_a_time(self, name, K):
+        # the leftmost letter first, each face through face_label, against
+        # the single right-to-left walk of apply_cube_map
+        for c in K.all_cells():
+            for w in brute_words(c.dim):
+                dim, label, letters = c.dim, c.label, w
+                while letters.strip("*"):
+                    pos = next(p for p, ch in enumerate(letters) if ch != "*")
+                    label = K.face_label(dim, label, pos + 1, int(letters[pos]))
+                    dim, letters = dim - 1, letters[:pos] + letters[pos + 1:]
+                assert apply_cube_map(K, c, w) == CellId(dim, label), (c, w)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -435,6 +468,46 @@ class TestFaceStorage:
         assert K != fuller
         assert K == PrecubicalSet({1: ["e", "f"], 2: ["s"], 0: ["a", "b"], 3: []},
                                   dict(self.ENTRIES))
+
+
+class TestEquality:
+    """A complex is its face-row table: copies made every way compare equal."""
+
+    @pytest.mark.parametrize("make", [lambda: standard_cube(3), lambda: boundary_cube(4),
+                                      lambda: torus(2),
+                                      lambda: random_glued_complex(random.Random(3))])
+    def test_copies_made_every_way_are_equal(self, make):
+        K = make()
+        copies = {
+            "built": make(),
+            "constructed": PrecubicalSet({d: K.cells(d) for d in range(K.top_dim + 1)},
+                                         K.face_map),
+            "parsed": parse(serialize(K)),
+            "parsed-compact": parse(json.dumps(json.loads(serialize(K)))),
+            "skeleton": skeleton(K, K.top_dim),
+            "skeleton-above": skeleton(K, K.top_dim + 2),
+        }
+        for name, copy in copies.items():
+            assert copy == K and K == copy, name
+            assert copy.cell_counts() == K.cell_counts(), name
+
+    def test_skeleton_copies_equal_the_complex_of_their_cells(self):
+        K = standard_cube(4)
+        for n in range(-1, 5):
+            part = skeleton(K, n)
+            assert part == PrecubicalSet({d: K.cells(d) for d in range(n + 1)},
+                                         {key: value for key, value in K.face_map.items()
+                                          if key[0] <= n})
+        assert skeleton(K, 3) == boundary_cube(4) != K
+
+    def test_other_types_are_not_equal(self):
+        K = standard_cube(1)
+        assert K.__eq__("*") is NotImplemented
+        assert K != "*" and not K == 3
+
+    def test_repr_gives_the_cell_counts(self):
+        assert repr(standard_cube(2)) == "PrecubicalSet(cells=(4, 4, 1))"
+        assert repr(boundary_cube(0)) == "PrecubicalSet(cells=())"
 
 
 class TestPcsMapImages:

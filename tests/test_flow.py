@@ -722,6 +722,32 @@ class TestClosedForms:
         assert classes_by_length(K, v, v, n) == expected
         assert count_flow_morphisms(K, n) == sum(expected[1:])
 
+    @pytest.mark.parametrize("letters, pairs", [
+        ("abc", ["ab", "bc"]),
+        ("abcd", ["ab", "bc", "cd", "da"]),
+        ("oabc", ["oa", "ob", "oc"]),
+    ], ids=["path-abc", "cycle4", "star3"])
+    def test_path_equal_is_trace_equality(self, letters, pairs):
+        # two words are equal as traces when they have the same letters and
+        # the same projection onto every pair of letters that do not commute
+        # (Diekert and Rozenberg, The Book of Traces, 1995); words with
+        # different letters are never equal, so only those with the same
+        # letters are paired
+        K = commutation_complex(letters, pairs)
+        dependent = [set(pair) for pair in itertools.combinations(letters, 2)
+                     if "".join(pair) not in pairs and "".join(pair)[::-1] not in pairs]
+        anagrams = {}
+        for word in itertools.product(letters, repeat=4):
+            anagrams.setdefault("".join(sorted(word)), []).append(word)
+        verdicts = set()
+        for words in anagrams.values():
+            for p, q in itertools.combinations(words, 2):
+                trace_equal = all([x for x in p if x in pair] == [x for x in q if x in pair]
+                                  for pair in dependent)
+                assert path_equal(K, p, q) == trace_equal, (p, q)
+                verdicts.add(trace_equal)
+        assert verdicts == {True, False}
+
     def test_cartier_foata_recurrence(self):
         # all d loops of torus(d) commute, so a trace is a multiset of
         # letters; the path a-b-c reaches lengths no class pass can

@@ -195,11 +195,6 @@ def test_tensor_escapes_labels_only_when_plain_names_collide():
     assert torus(3).cells(0) == ("v|v|v",)
 
 
-def test_adopt_rejects_a_repeated_label():
-    with pytest.raises(ValueError, match=re.escape("duplicate labels in dimension 0: ['a']")):
-        PrecubicalSet._adopt({0: ["a", "b", "a"]}, {0: {"a": (), "b": ()}}, True)
-
-
 # An edge e with d[1,0] = a and no d[1,1] entry, glued to a point over the
 # empty complex on the side given on the command line.
 BROKEN_FOOT = """
