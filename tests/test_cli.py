@@ -12,7 +12,7 @@ from precubical import cli
 from precubical.cli import main
 from precubical.document import _FAMILIES
 
-from conftest import reference_text
+from conftest import klein_bottle, reference_text
 
 
 @pytest.fixture()
@@ -365,6 +365,105 @@ class TestReportBytes:
                         for n, rep, size in classes],
         }
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_validate_report_of_every_violation_kind(self, capsys, tmp_path):
+        # the square plus a 1-cell labelled "" with no alpha = 1 face, a
+        # 1-cell e whose alpha = 1 face is undeclared, and *1 rerouted so
+        # that a relation on ** breaks: j, beta, detail and an empty cell
+        # label all reach the report
+        tree = json.loads(serialize(standard_cube(2)))
+        tree["cells"]["1"][:0] = ["", "e"]
+        tree["faces"] += [
+            {"alpha": 0, "cell": "", "dim": 1, "i": 1, "value": "00"},
+            {"alpha": 0, "cell": "e", "dim": 1, "i": 1, "value": "00"},
+            {"alpha": 1, "cell": "e", "dim": 1, "i": 1, "value": "zz"},
+        ]
+        for record in tree["faces"]:
+            if record["cell"] == "*1" and record["alpha"] == 1:
+                record["value"] = "10"
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, err) == (1, "")
+        assert out == """{
+  "valid": false,
+  "violations": [
+    {
+      "alpha": 1,
+      "cell": "",
+      "dim": 1,
+      "i": 1,
+      "kind": "missing-face"
+    },
+    {
+      "alpha": 1,
+      "cell": "e",
+      "detail": "points at undeclared cell 'zz'",
+      "dim": 1,
+      "i": 1,
+      "kind": "dangling-face"
+    },
+    {
+      "alpha": 1,
+      "beta": 1,
+      "cell": "**",
+      "detail": "d[1,1]d[2,1] = '10' but d[1,1]d[1,1] = '11'",
+      "dim": 2,
+      "i": 1,
+      "j": 2,
+      "kind": "cubical-relation"
+    }
+  ]
+}
+"""
+
+    def test_homology_report_with_torsion(self, capsys, tmp_path):
+        path = tmp_path / "klein.json"
+        path.write_text(serialize(klein_bottle()), encoding="utf-8")
+        code, out, err = run(capsys, ["homology", str(path)])
+        assert (code, err) == (0, "")
+        assert out == """[
+  {
+    "betti": 1,
+    "dim": 0,
+    "torsion": []
+  },
+  {
+    "betti": 1,
+    "dim": 1,
+    "torsion": [
+      2
+    ]
+  },
+  {
+    "betti": 0,
+    "dim": 2,
+    "torsion": []
+  }
+]
+"""
+
+    def test_globular_report_of_the_interval(self, capsys, tmp_path):
+        path = tmp_path / "interval.json"
+        path.write_text(serialize(standard_cube(1)), encoding="utf-8")
+        code, out, err = run(capsys, ["globular", str(path)])
+        assert (code, err) == (0, "")
+        assert out == """{
+  "cells": [
+    {
+      "cube": "*",
+      "dim": 1,
+      "globe_dim": 0,
+      "source": "0",
+      "target": "1"
+    }
+  ],
+  "vertices": [
+    "0",
+    "1"
+  ]
+}
+"""
 
     def test_skeleton(self, capsys, square_doc):
         code, out, _ = run(capsys, ["skeleton", square_doc, "--dim", "1"])
