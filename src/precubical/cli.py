@@ -6,6 +6,9 @@ exits 0.  Exit 1 means the input document failed to parse or validate;
 exit 2 means the invocation itself was wrong (bad flags, unknown family,
 unknown state label, a generated complex of more than MAX_GENERATED_CELLS
 cells).  Diagnostics go to standard error.
+
+The report format lives here alone: each report is built from the public
+fields of the library's values, which have no report methods of their own.
 """
 
 from __future__ import annotations
@@ -44,11 +47,21 @@ def _read(path: str) -> bytes:
         return handle.read()
 
 
+def _violation(v) -> dict:
+    out = {"kind": v.kind, "dim": v.dim, "cell": v.cell}
+    for key, value in (("i", v.i), ("alpha", v.alpha), ("j", v.j), ("beta", v.beta)):
+        if value is not None:
+            out[key] = value
+    if v.detail:
+        out["detail"] = v.detail
+    return out
+
+
 def _validate(K: PrecubicalSet, args) -> dict:
     violations = validate(K)
     return {
         "valid": not violations,
-        "violations": [v.as_dict() for v in violations],
+        "violations": [_violation(v) for v in violations],
     }
 
 
@@ -103,6 +116,19 @@ def _order(K: PrecubicalSet, args) -> dict:
     }
 
 
+def _homology(K: PrecubicalSet, args) -> list:
+    result = homology(K)
+    return [{"dim": d, "betti": b, "torsion": list(t)}
+            for d, (b, t) in enumerate(zip(result.betti, result.torsion))]
+
+
+def _globular(K: PrecubicalSet, args) -> dict:
+    ledger = globular_decomposition(K)
+    cells = [{"cube": a.cube.label, "dim": a.cube.dim, "globe_dim": a.globe_dim,
+              "source": a.source, "target": a.target} for a in ledger.cells()]
+    return {"vertices": list(ledger.vertices), "cells": cells}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="precubical",
@@ -127,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("skeleton", lambda K, args: serialize(skeleton(K, args.dim)),
             "emit the document of the n-skeleton")
     p.add_argument("--dim", type=int, required=True, help="largest dimension to keep")
-    add("homology", lambda K, args: homology(K).rows(),
-        "integer homology (Betti numbers and torsion)")
+    add("homology", _homology, "integer homology (Betti numbers and torsion)")
     add("euler", lambda K, args: {"euler_characteristic": euler_characteristic(K)},
         "Euler characteristic")
     add("states", lambda K, args: {"states": sorted(realize_states(K))},
@@ -139,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", dest="max_len", type=int, default=None,
                    help="path length bound (default: number of edges)")
     add("order", _order, "induced state order, or a cycle witness")
-    add("globular", lambda K, args: globular_decomposition(K).as_dict(),
-        "globular cell ledger")
+    add("globular", _globular, "globular cell ledger")
     p = add("generate", _generate,
             "emit a named complex as a document", with_path=False)
     p.add_argument("family", help="cube, boundary, circle, torus, cylinder, interval")

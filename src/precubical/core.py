@@ -192,16 +192,6 @@ class Violation(_Value):
         self._beta = beta
         self._detail = detail
 
-    def as_dict(self) -> dict:
-        out = {"kind": self.kind, "dim": self.dim, "cell": self.cell}
-        for key in ("i", "alpha", "j", "beta"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
     def __str__(self) -> str:
         coords = ", ".join(
             f"{k}={getattr(self, k)}"

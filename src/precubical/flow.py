@@ -37,7 +37,7 @@ globular.globular_decomposition.
 from __future__ import annotations
 
 from .core import (CellId, PrecubicalSet, _UnionFind, _Value, _face_rows, _is_sign,
-                   _require_cell, _require_valid, _slots, apply_cube_map)
+                   _require_valid, _slots, apply_cube_map)
 
 
 class EdgePath(_Value):
@@ -122,19 +122,11 @@ def realize_states(K: PrecubicalSet) -> frozenset:
 
 
 def corner(K: PrecubicalSet, c: CellId, alpha: int) -> str:
-    """The all-alpha corner vertex of a cell, by applying d[1, alpha] dim times.
-
-    The cubical relations make the result independent of which face index
-    is peeled at each step; index 1 throughout is the canonical route.
-    """
+    """The all-alpha corner vertex of a cell: the action of the constant
+    word alpha...alpha of length dim(c)."""
     if not _is_sign(alpha):
         raise ValueError(f"corner sign must be 0 or 1: {alpha!r}")
-    _require_cell(K, c)
-    _require_valid(K)
-    label = c.label
-    for n in range(c.dim, 0, -1):
-        label = _face_rows(K, n)[label][alpha]
-    return label
+    return apply_cube_map(K, c, str(alpha) * c.dim).label
 
 
 def staircase(K: PrecubicalSet, c: CellId) -> EdgePath:
@@ -167,6 +159,9 @@ def edge_path(K: PrecubicalSet, edges) -> EdgePath:
     _require_valid(K)
     if isinstance(edges, EdgePath):
         edges = edges.edges
+    elif isinstance(edges, str):
+        # a string is iterable, and would give one edge per character
+        raise ValueError(f"edge path must be a sequence of edge labels, not a string: {edges!r}")
     labels = tuple(str(e) for e in edges)
     if not labels:
         raise ValueError("edge path must be non-empty")
@@ -419,8 +414,8 @@ def enumerate_path_classes(
     for state in (a, b):
         if not K.has_cell(0, state):
             raise ValueError(f"unknown state: {state!r}")
-    if max_len < 1:
-        raise ValueError("max_len must be positive")
+    if max_len.__class__ is not int or max_len < 1:
+        raise ValueError(f"max_len must be a positive int: {max_len!r}")
     run = _ClassPass(K, [a], max_len, b)
     return tuple(
         PathClass(level.rep[k], a, b, length, level.size[k], run)
@@ -433,12 +428,14 @@ def enumerate_path_classes(
 def count_flow_morphisms(K: PrecubicalSet, max_len: int) -> int:
     """Number of path classes over all ordered state pairs, length <= max_len.
 
-    For loopless K with max_len at least the longest chain this is the full
-    morphism count of the realized flow.  A zero bound admits no path at
-    all, so the count is 0.  One class pass runs from every state at once.
+    Only non-empty paths count: a flow has no identity morphisms, so the
+    empty path at a state is not one of its morphisms.  For loopless K
+    with max_len at least the longest chain this is the full morphism
+    count of the realized flow.  A zero bound admits no path at all, so
+    the count is 0.  One class pass runs from every state at once.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
+    if max_len.__class__ is not int or max_len < 0:
+        raise ValueError(f"max_len must be a nonnegative int: {max_len!r}")
     if max_len == 0:
         return 0
     return sum(len(level.end) for level in _ClassPass(K, K.cells(0), max_len).levels[1:])

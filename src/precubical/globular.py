@@ -38,15 +38,6 @@ class FlowAtom(_Value):
     def globe_dim(self) -> int:
         return self.cube.dim - 1
 
-    def as_dict(self) -> dict:
-        return {
-            "cube": self.cube.label,
-            "dim": self.cube.dim,
-            "globe_dim": self.globe_dim,
-            "source": self.source,
-            "target": self.target,
-        }
-
 
 class GlobularDecomposition(_Value):
     """The realized flow: its states plus its atoms grouped by skeletal stage.
@@ -70,19 +61,14 @@ class GlobularDecomposition(_Value):
             out.extend(self.stages[dim])
         return tuple(out)
 
-    def as_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "cells": [cell.as_dict() for cell in self.cells()],
-        }
-
 
 def globular_decomposition(K: PrecubicalSet) -> GlobularDecomposition:
     """The realized flow of K: one atom per positive-dimensional cube,
     running between its corners, one stage per dimension that has cells.
 
-    The corners are those of flow.corner, found one dimension at a time:
-    a cube's all-alpha corner is that of its face d[1, alpha].
+    The corners are those of flow.corner, the action of the constant word
+    alpha...alpha, found here one dimension at a time: a cube's all-alpha
+    corner is that of its face d[1, alpha].
     """
     _require_valid(K)
     stages: dict[int, tuple[FlowAtom, ...]] = {}

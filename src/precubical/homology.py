@@ -311,12 +311,6 @@ class HomologyResult(_Value):
         self._betti = betti
         self._torsion = torsion
 
-    def rows(self) -> list[dict]:
-        return [
-            {"dim": d, "betti": b, "torsion": list(t)}
-            for d, (b, t) in enumerate(zip(self.betti, self.torsion))
-        ]
-
 
 def _coreduce(complex_: ChainComplex) -> tuple[list, int]:
     """The cells left live when one vertex per connected component and then

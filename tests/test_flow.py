@@ -24,6 +24,7 @@ from precubical import (
     edge_path,
     enumerate_path_classes,
     globular_decomposition,
+    interval,
     path_equal,
     pushout,
     realize_states,
@@ -232,6 +233,19 @@ class TestPathEqual:
         with pytest.raises(ValueError, match=r"^not a 1-cell: 'nope'$"):
             edge_path(K, ["nope"])
 
+    @pytest.mark.parametrize("call", [
+        lambda K: edge_path(K, "loop"),
+        lambda K: edge_path(K, "l"),
+        lambda K: path_equal(K, "loop", ["loop"]),
+        lambda K: path_equal(K, ["loop"], "loop"),
+    ], ids=["edge_path", "edge_path-one-letter", "path_equal-first", "path_equal-second"])
+    def test_string_path_is_named(self, call):
+        # a string is iterable: "loop" was read as the edges l, o, o, p and
+        # raised "not a 1-cell: 'l'", and a one-letter label passed by accident
+        with pytest.raises(ValueError, match=r"^edge path must be a sequence of edge labels, "
+                                             r"not a string: '(loop|l)'$"):
+            call(circle())
+
     def test_congruence_under_concatenation(self):
         K = standard_cube(3)
         low, high = square_boundary_pair(K, "**0")
@@ -268,6 +282,13 @@ class TestEnumeratePathClasses:
         with pytest.raises(ValueError):
             enumerate_path_classes(standard_cube(1), "0", "1", 0)
 
+    @pytest.mark.parametrize("max_len", [2.5, 2.0, True, "2"])
+    def test_bound_that_is_not_an_int_is_named(self, max_len):
+        # 2.5 raised a bare TypeError from range
+        with pytest.raises(ValueError, match=r"^max_len must be a positive int: %s$"
+                                             % re.escape(repr(max_len))):
+            enumerate_path_classes(standard_cube(2), "00", "11", max_len)
+
     def test_classes_are_length_and_endpoint_uniform(self):
         for c in enumerate_path_classes(standard_cube(3), "000", "111", 3):
             K = standard_cube(3)
@@ -295,6 +316,13 @@ class TestCountFlowMorphisms:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             count_flow_morphisms(standard_cube(1), -1)
+
+    @pytest.mark.parametrize("max_len", [True, False, 2.0, 2.5, "2"])
+    def test_bound_that_is_not_an_int_is_named(self, max_len):
+        # True was read as 1 and counted the square's 4 edges
+        with pytest.raises(ValueError, match=r"^max_len must be a nonnegative int: %s$"
+                                             % re.escape(repr(max_len))):
+            count_flow_morphisms(standard_cube(2), max_len)
 
     def test_circle_counts_loops_up_to_bound(self):
         assert count_flow_morphisms(circle(), 4) == 4
@@ -780,3 +808,60 @@ class TestClosedForms:
             for (b, y), cl in counts_L.items():
                 expected = [sum(ck[i] * cl[k - i] for i in range(k + 1)) for k in range(n + 1)]
                 assert classes_by_length(P, f"{a}|{b}", f"{x}|{y}", n) == expected, (a, b, x, y)
+
+    PROJECTION_FACTORS = {
+        "circle": circle(),
+        "I1": standard_cube(1),
+        "I2": standard_cube(2),
+        "wedge": wedge_of_circles(),
+        "klein": klein_bottle(),
+        "interval2": interval(2),
+        "boundary3": boundary_cube(3),
+    }
+
+    @pytest.mark.parametrize("left, right", [
+        ("boundary3", "klein"), ("klein", "klein"), ("boundary3", "wedge"),
+        ("circle", "wedge"), ("interval2", "wedge"), ("I1", "klein"), ("I2", "wedge"),
+    ])
+    def test_path_equal_is_projection_equality(self, left, right):
+        # a step of K (x) L moves in one factor and stays put in the other,
+        # so a path projects to a path of K and one of L; two paths with
+        # the same ends are equal exactly when both projections are, where
+        # an empty projection equals only an empty one.  Same-end pairs of
+        # length <= 4 are sampled, half of them with identical projections.
+        K, L = self.PROJECTION_FACTORS[left], self.PROJECTION_FACTORS[right]
+        P = tensor(K, L)
+        steps = {f"{e}|{v}": (e, None) for e in K.cells(1) for v in L.cells(0)}
+        steps.update({f"{v}|{e}": (None, e) for v in K.cells(0) for e in L.cells(1)})
+        assert sorted(steps) == sorted(P.cells(1))
+
+        def projections(path):
+            return tuple(tuple(steps[e][k] for e in path if steps[e][k] is not None)
+                         for k in (0, 1))
+
+        def equal(M, p, q):
+            return path_equal(M, p, q) if p and q else p == q
+
+        out = {v: [e for e in P.cells(1) if P.face_label(1, e, 1, 0) == v] for v in P.cells(0)}
+        groups = {}
+        frontier = [((), v, v) for v in P.cells(0)]
+        for _ in range(4):
+            frontier = [(path + (e,), a, P.face_label(1, e, 1, 1))
+                        for path, a, b in frontier for e in out[b]]
+            for path, a, b in frontier:
+                groups.setdefault((a, b, len(path)), []).append(path)
+        pool = [paths for paths in groups.values() if len(paths) > 1]
+        rng = random.Random(f"{left}|{right}")
+        verdicts = set()
+        for n in range(400):
+            paths = rng.choice(pool)
+            p = rng.choice(paths)
+            if n % 2:
+                q = rng.choice(paths)
+            else:
+                q = rng.choice([q for q in paths if projections(q) == projections(p)])
+            (pk, pl), (qk, ql) = projections(p), projections(q)
+            verdict = equal(K, pk, qk) and equal(L, pl, ql)
+            assert path_equal(P, p, q) == verdict, (p, q)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
