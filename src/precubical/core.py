@@ -35,13 +35,15 @@ the constructor and _adopt end in; the checked path, _tabulate, is shared
 with parse, and gives each face entry that names a declared cell that
 cell's own label string.
 
-The builders and validate work a whole face row at a time.  standard_cube
-grows the n-cube from the rows of the (n-1)-cube, and pushout renames each
-row through one label -> name table per dimension and side, so a row holds
-the very label strings of the cells below.  validate opens each cell with
-one test, the two routes of every relation instance read across its faces'
-rows, and reports instance by instance only for a cell with a face that is
-undeclared or has no faces, or whose two routes differ.
+The builders work a whole face row at a time.  standard_cube grows the
+n-cube from the rows of the (n-1)-cube, and pushout renames each row
+through one label -> name table per dimension and side, so a row holds
+the very label strings of the cells below.  validate tests a whole
+dimension at once: the faces' rows of all its cells, laid end to end, and
+the two sides of each relation instance read as two strided slices of
+them.  Only a dimension that fails that test is walked a cell at a time,
+and there instance by instance only for a cell with a face that is
+undeclared or has no faces, or whose two sides differ.
 """
 
 from __future__ import annotations
@@ -394,9 +396,10 @@ def _cell_keys(K: PrecubicalSet):
 
 
 def _require_cell(K: PrecubicalSet, cell: CellId) -> None:
-    """Raise ValueError unless K declares the cell."""
-    if not K.has_cell(cell.dim, cell.label):
-        raise ValueError(f"undeclared cell ({cell.dim}, {cell.label!r})")
+    """Raise ValueError unless K declares the cell; a dimension that is not
+    an int exactly, such as 2.0, True or "2", names no cell."""
+    if cell.dim.__class__ is not int or not K.has_cell(cell.dim, cell.label):
+        raise ValueError(f"undeclared cell ({cell.dim!r}, {cell.label!r})")
 
 
 def _face_entry(K: PrecubicalSet, dim: int, label: str, i: int, alpha: int):
@@ -422,10 +425,14 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     complex that is valid by construction.  K remembers the verdict, so
     _require_valid checks it only once.
 
-    Each cell is opened with one test: its faces' rows, laid end to end,
-    read the same along the two routes of _routes.  Only a cell that has
-    an undeclared face, or a face without faces, or two routes that
-    differ, is walked instance by instance.
+    A dimension whose rows outweigh its relation instances is opened with
+    one test, _dimension_holds: every face of every cell is declared and
+    has faces, and both sides of every instance agree.  A dimension that
+    passes has nothing to report.  Any other is walked a cell at a time:
+    each cell is opened with the same test, through the routes of _routes
+    where the dimension has them, and only a cell that has an undeclared
+    face, or a face without faces, or two routes that differ, is walked
+    instance by instance.
     """
     faults: list[Violation] = []
     relations: list[Violation] = []
@@ -441,9 +448,13 @@ def validate(K: PrecubicalSet) -> list[Violation]:
         rich = {label: row for label, row in mid.items() if label not in poor} if poor else mid
         fetch = rich.__getitem__
         poor = set()
-        # the routes are built only where the rows outweigh them, so a few
-        # tall cells cost memory in proportion to their rows
-        lhs, rhs = _routes(dim) if 1 < dim <= len(table) + 1 else (None, None)
+        # the dimension is tested at once, and the routes are built, only
+        # where the rows outweigh the instances, so a few tall cells cost
+        # memory in proportion to their rows
+        short = dim <= len(table) + 1
+        if short and _dimension_holds(K.cells(dim), table, rich, dim):
+            continue
+        lhs, rhs = _routes(dim) if short and dim > 1 else (None, None)
         for label in K.cells(dim):
             row = table[label]
             try:
@@ -491,19 +502,53 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     return report
 
 
+# the most faces of faces that _dimension_holds lays end to end at once,
+# unless one cell has more
+_BLOCK = 1 << 14
+
+
+def _dimension_holds(cells, table, rich, dim: int) -> bool:
+    """Whether every one of the dim-cells, rows in table, has all its faces
+    among the rows of rich and agrees on both sides of every relation
+    instance.  The faces' rows of a block of cells are laid end to end,
+    one fetch each, and each side of an instance is a strided slice of
+    them, one entry per cell."""
+    flatten = itertools.chain.from_iterable
+    width = 2 * dim * (2 * dim - 2)
+    step = max(1, _BLOCK // max(width, 1))
+    places = _instances(dim)
+    for start in range(0, len(cells), step):
+        try:
+            faces = list(flatten(map(rich.__getitem__, flatten(
+                map(table.__getitem__, cells[start:start + step])))))
+        except KeyError:
+            return False
+        for left, right in places:
+            if faces[left::width] != faces[right::width]:
+                return False
+    return True
+
+
 @functools.lru_cache(maxsize=16)
+def _instances(n: int) -> tuple[tuple[int, int], ...]:
+    """The cubical relations of an n-cell, one pair per instance
+    (i < j, alpha, beta), and none for n < 2: each pair places the two
+    sides in the 2n face rows of the cell's faces laid end to end (2n - 2
+    entries each), the first at d[i, alpha] d[j, beta] and the second at
+    d[j-1, beta] d[i, alpha].  validate asks only for a dimension whose
+    rows outweigh them, and the last few asked for are kept."""
+    width = 2 * n - 2
+    slots = [(2 * i - 2 + alpha, 2 * j - 2 + beta) for j in range(2, n + 1)
+             for i in range(1, j) for alpha in (0, 1) for beta in (0, 1)]
+    return tuple((jb * width + ia, ia * width + jb - 2) for ia, jb in slots)
+
+
 def _routes(n: int) -> tuple[itemgetter, itemgetter]:
     """The two sides of the cubical relations of an n-cell, n >= 2, as
-    getters over the 2n face rows of its faces laid end to end (2n - 2
-    entries each): for every instance (i < j, alpha, beta) the first picks
-    d[i, alpha] d[j, beta] and the second, at the same place,
-    d[j-1, beta] d[i, alpha].  validate asks for them only for a
-    dimension whose rows are larger, and the last few asked for are kept."""
-    width = 2 * n - 2
-    instances = [(2 * i - 2 + alpha, 2 * j - 2 + beta) for j in range(2, n + 1)
-                 for i in range(1, j) for alpha in (0, 1) for beta in (0, 1)]
-    return (itemgetter(*[jb * width + ia for ia, jb in instances]),
-            itemgetter(*[ia * width + jb - 2 for ia, jb in instances]))
+    getters over the face rows of its faces laid end to end, each picking
+    its side of every instance of _instances(n) in order."""
+    lhs, rhs = zip(*_instances(n))
+    return itemgetter(*lhs), itemgetter(*rhs)
 
 
 def _require_valid(K: PrecubicalSet) -> None:
@@ -574,11 +619,11 @@ def apply_cube_map(K: PrecubicalSet, c: CellId, w: CubeWord | str) -> CellId:
     apply(c, u.compose(v)) == apply(apply(c, u), v).
     """
     w = as_word(w)
+    _require_cell(K, c)
     if len(w) != c.dim:
         raise ValueError(
             f"word length {len(w)} does not match cell dimension {c.dim}"
         )
-    _require_cell(K, c)
     _require_valid(K)
     dim, label, letters = c.dim, c.label, w.letters
     # the letter at place pos is the face d[pos + 1, letter]; taken right to

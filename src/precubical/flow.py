@@ -37,7 +37,7 @@ globular.globular_decomposition.
 from __future__ import annotations
 
 from .core import (CellId, PrecubicalSet, _UnionFind, _Value, _face_rows, _is_sign,
-                   _require_valid, _slots, apply_cube_map)
+                   _require_cell, _require_valid, _slots, apply_cube_map)
 
 
 class EdgePath(_Value):
@@ -126,6 +126,7 @@ def corner(K: PrecubicalSet, c: CellId, alpha: int) -> str:
     word alpha...alpha of length dim(c)."""
     if not _is_sign(alpha):
         raise ValueError(f"corner sign must be 0 or 1: {alpha!r}")
+    _require_cell(K, c)
     return apply_cube_map(K, c, str(alpha) * c.dim).label
 
 
@@ -137,6 +138,7 @@ def staircase(K: PrecubicalSet, c: CellId) -> EdgePath:
     fixes coordinates k+1..n at 0.  The result has length dim(c) and runs
     from corner(c, 0) to corner(c, 1).
     """
+    _require_cell(K, c)
     n = c.dim
     if n < 1:
         raise ValueError("staircase requires a cell of dimension >= 1")

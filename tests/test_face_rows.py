@@ -17,13 +17,16 @@ from precubical import (
     pushout,
     serialize,
     standard_cube,
+    tensor,
     torus,
     validate,
 )
+from precubical import core
 from precubical.core import _face_rows, _routes
 
-from conftest import (BASE_BUILDERS, _edge_ends, isomorphic, klein_bottle, reference_pushout,
-                      reference_standard_cube, reference_validate)
+from conftest import (BASE_BUILDERS, CORPUS, _edge_ends, isomorphic, klein_bottle,
+                      random_glued_complex, reference_pushout, reference_standard_cube,
+                      reference_validate)
 
 
 def square_glued_to_two_loops(pattern: str):
@@ -201,3 +204,97 @@ class TestValidate:
         assert len(report) == 2 * (d - 1)
         assert {v.kind for v in report} == {"missing-face"} and {v.cell for v in report} == {"y"}
         assert peak < 1 << 20
+
+    def test_valid_dimensions_pass_the_whole_dimension_test(self, monkeypatch):
+        # the routes are built only for a dimension that failed the test
+        def walked(dim):
+            raise AssertionError(f"dimension {dim} was walked a cell at a time")
+
+        rng = random.Random(5)
+        complexes = [K for _, K in CORPUS] + [random_glued_complex(rng) for _ in range(8)]
+        complexes += [standard_cube(6), tensor(boundary_cube(4), boundary_cube(4))]
+        monkeypatch.setattr(core, "_routes", walked)
+        for K in complexes:
+            assert validate(K) == []
+
+    @staticmethod
+    def walked_dimensions(monkeypatch) -> list:
+        """The dimensions, in order, that validate will walk a cell at a time
+        with routes: those that failed the whole-dimension test."""
+        walked = []
+        monkeypatch.setattr(core, "_routes", lambda dim: walked.append(dim) or _routes(dim))
+        return walked
+
+    @staticmethod
+    def glued(rng: random.Random) -> PrecubicalSet:
+        K = standard_cube(3)
+        for _ in range(3):
+            K = pushout(*chain_feet(rng, K))
+        return K
+
+    @staticmethod
+    def edited(K: PrecubicalSet, key, value) -> PrecubicalSet:
+        """K with the face entry at key set to value, or dropped for None."""
+        table = K.face_map
+        if value is None:
+            del table[key]
+        else:
+            table[key] = value
+        return PrecubicalSet({d: K.cells(d) for d in range(K.top_dim + 1)}, table)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_swapped_entry_fails_one_dimension(self, seed, monkeypatch):
+        # an edge given another declared vertex breaks the relations of the
+        # squares over it, and nothing in the dimensions above
+        rng = random.Random(seed)
+        walked = self.walked_dimensions(monkeypatch)
+        for base in (standard_cube(5), self.glued(rng)):
+            table = base.face_map
+            over = {e for row in _face_rows(base, 2).values() for e in row}
+            key = rng.choice([k for k in table if k[0] == 1 and k[3] in over])
+            value = rng.choice([v for v in base.cells(0) if v != table[key]])
+            K = self.edited(base, key, value)
+            walked.clear()
+            report = validate(K)
+            assert report == reference_validate(K)
+            assert {v.kind for v in report} == {"cubical-relation"}
+            assert walked == [2]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_missing_entry_fails_its_dimension_and_the_next(self, dim, seed, monkeypatch):
+        # the cells above read the missing entry as None on one side of a
+        # relation, so they are walked too, and report nothing more
+        rng = random.Random(seed)
+        walked = self.walked_dimensions(monkeypatch)
+        base = standard_cube(5)
+        K = self.edited(base, rng.choice([k for k in base.face_map if k[0] == dim]), None)
+        report = validate(K)
+        assert report == reference_validate(K)
+        assert [v.kind for v in report] == ["missing-face"]
+        assert walked == [dim, dim + 1]
+
+    @pytest.mark.parametrize("place", ["first", "end of block", "next block", "last"])
+    def test_every_block_is_tested(self, place):
+        # the 1792 3-cells of cube 8 take more than one block, of 682 cells
+        # with 24 faces of faces each
+        base = standard_cube(8)
+        step = core._BLOCK // 24
+        assert step < base.n_cells(3)
+        index = {"first": 0, "end of block": step - 1, "next block": step, "last": -1}[place]
+        K = self.edited(base, (3, 1, 0, base.cells(3)[index]), None)
+        report = validate(K)
+        assert report == reference_validate(K) and len(report) == 1
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_memory_stays_bounded(self, n):
+        # the faces of faces of a dimension are laid end to end a block at
+        # a time: whole, those of cube 9 would take about 1.6 MB
+        K = standard_cube(n)
+        tracemalloc.start()
+        try:
+            report = validate(K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report == [] and peak < 1 << 20

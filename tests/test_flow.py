@@ -17,6 +17,7 @@ from precubical import (
     PcsMap,
     PrecubicalSet,
     StatePoset,
+    apply_cube_map,
     boundary_cube,
     circle,
     corner,
@@ -184,6 +185,31 @@ class TestStaircase:
     def test_vertex_rejected(self):
         with pytest.raises(ValueError):
             staircase(standard_cube(1), CellId(0, "0"))
+
+
+class TestMalformedCellId:
+    """A CellId whose dimension is not a declared one, as an int exactly,
+    is named as an undeclared cell by every reader of a cell."""
+
+    READERS = {
+        "corner": lambda K, c: corner(K, c, 0),
+        "staircase": staircase,
+        "apply_cube_map": lambda K, c: apply_cube_map(K, c, "**"),
+        "face": lambda K, c: K.face(c, 1, 0),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("cell, shown", [
+        # a str dimension gave a bare TypeError from corner and staircase,
+        # -1 a word-length message, and 2.0 and True passed for 2 and 1
+        (CellId("2", "**"), r"'2', '\*\*'"),
+        (CellId(-1, "x"), r"-1, 'x'"),
+        (CellId(2.0, "**"), r"2\.0, '\*\*'"),
+        (CellId(True, "*0"), r"True, '\*0'"),
+    ], ids=["str", "negative", "float", "bool"])
+    def test_is_named(self, reader, cell, shown):
+        with pytest.raises(ValueError, match=r"^undeclared cell \(%s\)$" % shown):
+            self.READERS[reader](standard_cube(2), cell)
 
 
 def square_boundary_pair(K, s):
